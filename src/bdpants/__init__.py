@@ -7,7 +7,8 @@ power gives a point of the rank-n Hitchin component, whose
 Bonahon-Dreyer coordinates this package evaluates both from the
 definitions (wedge determinants of boundary flags) and from explicit
 closed-form binomial determinants, checking that the two agree exactly
-over arbitrary-precision rationals.
+over arbitrary-precision rationals.  Float lengths enter as the exact
+dyadic rationals they are; floats come back out only when printed.
 """
 
 from .coords import (
@@ -55,7 +56,6 @@ from .pants import (
     validate_params,
 )
 from .scalars import (
-    MixedBackendError,
     Scalar,
     exact_sqrt,
     log_to_float,

@@ -3,11 +3,15 @@
 Three commands:
 
   * ``coords`` (implied when the first argument is a flag): coordinates
-    of one representation, as JSON (exact values as "p/q" strings plus
-    float logs) or CSV (logs only);
+    of one representation, as JSON (values as "p/q" strings in exact
+    mode or floats in float mode, plus float logs) or CSV (logs only);
   * ``verify``: the randomized identity sweep of `bdpants.verify`;
   * ``sweep``: a CSV table of coordinate logs over a boundary-length
     grid.
+
+Every value is computed exactly; ``--mode`` picks only whether exact
+values are printed as rationals or rounded once to floats.  Float
+lengths enter as the exact dyadic rationals they are.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or domain error,
 3 internal degeneracy.
@@ -47,8 +51,6 @@ def _resolve_input(args):
     if args.abc is not None:
         mode = args.mode or "exact"
         triple = [parse_scalar(t, exact=True) for t in _parse_triple(args.abc, "--abc")]
-        if mode == "float":
-            triple = [as_float(x) for x in triple]
         params = PantsParams(*triple)
         lengths = lengths_from_params(params)
     else:
@@ -63,39 +65,53 @@ def _resolve_input(args):
     return params, lengths, mode
 
 
-def _coords_document(n: int, params: PantsParams, lengths: PantsLengths, mode: str):
-    """The JSON document for one representation, plus the raw vector."""
-    coords = assemble_phi(n, params, method="closed_form")
-    exact = mode == "exact"
-    value_out = scalar_str if exact else as_float
+def _exact_out(name: str, value) -> str:
+    return scalar_str(value)
+
+
+def _float_out(name: str, value) -> float:
+    """A computed value rounded to a float, refused by name when it
+    does not fit in one."""
+    try:
+        return as_float(value)
+    except OverflowError:
+        raise DomainError(
+            f"{name} = e^{log_to_float(value):.6g} does not fit in a float"
+        ) from None
+
+
+def _coords_document(params: PantsParams, lengths: PantsLengths, mode: str,
+                     coords: CoordinateVector):
+    """The JSON document for one representation."""
+    n = coords.n
+    value_out = _exact_out if mode == "exact" else _float_out
     sigma = {}
     for leaf in LEAVES:
         sigma[leaf] = [
-            {"p": p, "exp": value_out(v), "log": log_to_float(v)}
+            {"p": p, "exp": value_out(f"sigma {leaf} p={p}", v), "log": log_to_float(v)}
             for p, v in enumerate(coords.sigma[leaf], start=1)
         ]
     tau = {}
     for tri in TRIANGLES:
         tau[tri] = {
             f"{p},{q},{r}": {
-                "exp": value_out(coords.tau[tri][(p, q, r)]),
+                "exp": value_out(f"tau {tri} ({p},{q},{r})", coords.tau[tri][(p, q, r)]),
                 "log": log_to_float(coords.tau[tri][(p, q, r)]),
             }
             for (p, q, r) in tau_index_tuples(n)
         }
-    document = {
+    return {
         "n": n,
         "mode": mode,
         "params": {
-            "alpha": value_out(params.alpha),
-            "beta": value_out(params.beta),
-            "gamma": value_out(params.gamma),
+            "alpha": value_out("alpha", params.alpha),
+            "beta": value_out("beta", params.beta),
+            "gamma": value_out("gamma", params.gamma),
         },
         "lengths": {"lA": lengths.lA, "lB": lengths.lB, "lC": lengths.lC},
         "coordinates": {"sigma": sigma, "tau": tau},
         "checks": polytope_check(coords),
     }
-    return document, coords
 
 
 def _csv_row(lengths: PantsLengths, params: PantsParams, coords: CoordinateVector):
@@ -104,9 +120,9 @@ def _csv_row(lengths: PantsLengths, params: PantsParams, coords: CoordinateVecto
         lengths.lA,
         lengths.lB,
         lengths.lC,
-        as_float(params.alpha),
-        as_float(params.beta),
-        as_float(params.gamma),
+        _float_out("alpha", params.alpha),
+        _float_out("beta", params.beta),
+        _float_out("gamma", params.gamma),
     ]
     for label, value in coords.labeled_entries():
         header.append(label)
@@ -124,14 +140,17 @@ def cmd_coords(args) -> int:
     if args.n < 2:
         raise DomainError(f"need n >= 2, got {args.n}")
     params, lengths, mode = _resolve_input(args)
-    document, coords = _coords_document(args.n, params, lengths, mode)
+    coords = assemble_phi(args.n, params, method="closed_form")
+    if args.format == "json":
+        document = _coords_document(params, lengths, mode, coords)
+    else:
+        header, row = _csv_row(lengths, params, coords)
     out, close = _open_out(args.out)
     try:
         if args.format == "json":
             json.dump(document, out, indent=2)
             out.write("\n")
         else:
-            header, row = _csv_row(lengths, params, coords)
             writer = csv.writer(out)
             writer.writerow(header)
             writer.writerow(row)
@@ -235,7 +254,12 @@ def _build_parser() -> argparse.ArgumentParser:
     group = p_coords.add_mutually_exclusive_group(required=True)
     group.add_argument("--abc", help="alpha,beta,gamma as rationals, e.g. 2,1,1/2")
     group.add_argument("--lengths", help="boundary lengths lA,lB,lC (floats)")
-    p_coords.add_argument("--mode", choices=("exact", "float"))
+    p_coords.add_argument(
+        "--mode",
+        choices=("exact", "float"),
+        help="print values as rationals or as floats (default: exact for "
+        "--abc, float for --lengths); computation is exact either way",
+    )
     p_coords.add_argument("--format", choices=("json", "csv"), default="json")
     p_coords.add_argument("--out", help="output file (default stdout)")
     p_coords.set_defaults(func=cmd_coords)
@@ -244,7 +268,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--samples", type=int, default=25)
     p_verify.add_argument("--seed", dest="n_seed", type=int, default=42)
     p_verify.add_argument("--max-n", dest="max_n", type=int, default=5)
-    p_verify.add_argument("--mode", choices=("exact", "float"), default="exact")
+    p_verify.add_argument(
+        "--mode",
+        choices=("exact", "float"),
+        default="exact",
+        help="sample rational parameters or random float lengths; "
+        "every check is exact either way",
+    )
     p_verify.add_argument("--out", help="output file (default stdout)")
     p_verify.set_defaults(func=cmd_verify)
 

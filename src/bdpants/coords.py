@@ -14,12 +14,16 @@ Two independent evaluation paths are implemented:
   * the closed-form path evaluates explicit formulas in the parameters
     (alpha, beta, gamma): bordered and Toeplitz matrices of binomial
     coefficients, fed to the same determinant kernel without any
-    hand simplification.
+    hand simplification.  Each factor is computed once per call: per
+    leaf for the shearing invariants, per triangle for the triangle
+    invariants, the same sharing the generic path gets from the
+    batched ratio functions of `bdpants.flags`.
 
-On the exact backend the two paths must agree to the last bit; the
-verification suite and the tests enforce exactly that.  The closed
-forms make the structure of the locus plain: every triangle invariant
-is 0 (exponentiated: 1) and the shearing invariants do not depend on p.
+All arithmetic is over the rationals, so the two paths must agree to
+the last bit; the verification suite and the tests enforce exactly
+that.  The closed forms make the structure of the locus plain: every
+triangle invariant is 0 (exponentiated: 1) and the shearing invariants
+do not depend on p.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .flags import DegenerateFlagsError, double_ratios_exp, triple_ratios_exp
+from .flags import DegenerateFlagsError, _check_pqr, double_ratios_exp, triple_ratios_exp
 from .pants import (
     BOUNDARY_LEAVES,
     LEAVES,
@@ -67,11 +71,6 @@ def _check_p(n: int, p: int):
         raise ValueError(f"p out of range: p={p}, n={n}")
 
 
-def _check_pqr(n: int, p: int, q: int, r: int):
-    if p < 1 or q < 1 or r < 1 or p + q + r != n:
-        raise ValueError(f"invalid index triple ({p},{q},{r}) for n={n}")
-
-
 # ---------------------------------------------------------------------------
 # generic path: flags of the boundary points, ratios by wedge determinants
 
@@ -104,19 +103,13 @@ def triangle_invariant_generic(
 # ---------------------------------------------------------------------------
 # closed-form path: binomial determinants in (alpha, beta, gamma)
 
-def _to_backend(value, exact: bool) -> Scalar:
-    if isinstance(value, float):
-        return value
-    return Fraction(value) if exact else float(value)
-
-
 def _y_hab(n: int, params: PantsParams, i: int) -> Scalar:
     bg = params.beta * params.gamma
     return binom_ext(n - 1, i) * bg ** (n - i - 1)
 
 
 def _yprime_hab(n: int, params: PantsParams, i: int) -> Scalar:
-    return _to_backend((-1) ** (n - i - 1) * binom_ext(n - 1, i), params.is_exact())
+    return (-1) ** (n - i - 1) * binom_ext(n - 1, i)
 
 
 def _y_hbc(n: int, params: PantsParams, i: int) -> Scalar:
@@ -126,8 +119,7 @@ def _y_hbc(n: int, params: PantsParams, i: int) -> Scalar:
     size = n - i
     rows = []
     for r in range(1, size + 1):
-        row = [_to_backend(binom_ext(i + 1, r - j), params.is_exact())
-               for j in range(1, size)]
+        row = [binom_ext(i + 1, r - j) for j in range(1, size)]
         row.append(binom_ext(n - 1, r - 1) * x ** (n - r))
         rows.append(row)
     return (-1) ** ((n - i) * i) * linalg.det(rows)
@@ -135,25 +127,22 @@ def _y_hbc(n: int, params: PantsParams, i: int) -> Scalar:
 
 def _yprime_hbc(n: int, params: PantsParams, i: int) -> Scalar:
     if i == n - 1:
-        value = (-1) ** (n - 1)
-    else:
-        size = n - i - 1
-        rows = [
-            [binom_ext(i + 1, 1 + r - j) for j in range(1, size + 1)]
-            for r in range(1, size + 1)
-        ]
-        value = (-1) ** (n * i + n + 1) * linalg.det(rows)
-    return _to_backend(value, params.is_exact())
+        return (-1) ** (n - 1)
+    size = n - i - 1
+    rows = [
+        [binom_ext(i + 1, 1 + r - j) for j in range(1, size + 1)]
+        for r in range(1, size + 1)
+    ]
+    return (-1) ** (n * i + n + 1) * linalg.det(rows)
 
 
 def _y_hca(n: int, params: PantsParams, i: int) -> Scalar:
     if i == 0:
-        return _to_backend(1, params.is_exact())
+        return 1
     w = params.alpha * params.alpha * params.beta * params.gamma + 1
     rows = []
     for r in range(1, i + 2):
-        row = [_to_backend(binom_ext(n - i, n - i - 1 + r - k), params.is_exact())
-               for k in range(1, i + 1)]
+        row = [binom_ext(n - i, n - i - 1 + r - k) for k in range(1, i + 1)]
         row.append(binom_ext(n - 1, n - i - 2 + r) * w ** (i + 1 - r))
         rows.append(row)
     return (-1) ** (n * i) * linalg.det(rows)
@@ -161,14 +150,12 @@ def _y_hca(n: int, params: PantsParams, i: int) -> Scalar:
 
 def _yprime_hca(n: int, params: PantsParams, i: int) -> Scalar:
     if i == 0:
-        value = 1
-    else:
-        rows = [
-            [binom_ext(n - i, n - i - 1 + r - k) for k in range(1, i + 1)]
-            for r in range(1, i + 1)
-        ]
-        value = (-1) ** (n * i) * linalg.det(rows)
-    return _to_backend(value, params.is_exact())
+        return 1
+    rows = [
+        [binom_ext(n - i, n - i - 1 + r - k) for k in range(1, i + 1)]
+        for r in range(1, i + 1)
+    ]
+    return (-1) ** (n * i) * linalg.det(rows)
 
 
 _CLOSED_Y = {
@@ -183,35 +170,45 @@ def shearing_invariant_closed(n: int, params: PantsParams, leaf: str, p: int) ->
     -(Y(p)/Y'(p)) * (Y'(p-1)/Y(p-1))."""
     _check_p(n, p)
     validate_params(params)
+    return _shearing_closed(n, params, leaf, (p,))[0]
+
+
+def _shearing_closed(n: int, params: PantsParams, leaf: str, ps):
+    """Closed-form shearing invariants of one leaf for several p,
+    evaluating each Y and Y' value once."""
     try:
         y, yprime = _CLOSED_Y[leaf]
     except KeyError:
         raise ValueError(f"unknown leaf {leaf!r}") from None
-    den = yprime(n, params, p) * y(n, params, p - 1)
-    if den == 0:
-        raise DegenerateFlagsError("degenerate flags")
-    return -(y(n, params, p) * yprime(n, params, p - 1)) / den
+    needed = sorted({i for p in ps for i in (p, p - 1)})
+    yv = {i: y(n, params, i) for i in needed}
+    y2 = {i: yprime(n, params, i) for i in needed}
+    out = []
+    for p in ps:
+        den = y2[p] * yv[p - 1]
+        if den == 0:
+            raise DegenerateFlagsError("degenerate flags")
+        out.append(Fraction(-(yv[p] * y2[p - 1]), den))
+    return out
 
 
 def _x_t0(n: int, params: PantsParams, a: int, b: int, c: int) -> Scalar:
     """Toeplitz binomial determinant for the triangle with vertices
     (inf, 1, 0); independent of the parameters."""
     if b == 0:
-        value = 1
-    else:
-        rows = [
-            [binom_ext(a + c, a + i - j) for j in range(b)]
-            for i in range(b)
-        ]
-        value = linalg.det(rows)
-    return _to_backend(value, params.is_exact())
+        return 1
+    rows = [
+        [binom_ext(a + c, a + i - j) for j in range(b)]
+        for i in range(b)
+    ]
+    return linalg.det(rows)
 
 
 def _x_t1(n: int, params: PantsParams, a: int, b: int, c: int) -> Scalar:
     """Signed Toeplitz determinant in powers of (-beta*gamma) for the
     triangle with vertices (inf, 0, -beta*gamma)."""
     if c == 0:
-        return _to_backend((-1) ** b, params.is_exact())
+        return (-1) ** b
     mbg = -params.beta * params.gamma
     rows = [
         [binom_ext(a + b, a + i - j) * mbg ** (b - i + j) for j in range(c)]
@@ -229,22 +226,38 @@ def triangle_invariant_closed(
     """Exponentiated triangle invariant assembled from the closed-form X
     factors.  Individual factors may be negative (they carry explicit
     signs); the assembled ratio must be positive."""
-    _check_pqr(n, p, q, r)
     validate_params(params)
+    return _triangle_closed(n, params, triangle, [(p, q, r)])[(p, q, r)]
+
+
+def _triangle_closed(n: int, params: PantsParams, triangle: str, triples) -> dict:
+    """Closed-form triangle invariants of one triangle for many (p,q,r),
+    evaluating each X factor once."""
     try:
         x_of = _CLOSED_X[triangle]
     except KeyError:
         raise ValueError(f"unknown triangle {triangle!r}") from None
-    x = lambda a, b, c: x_of(n, params, a, b, c)
-    den = x(p - 1, q, r + 1) * x(p, q + 1, r - 1) * x(p + 1, q - 1, r)
-    if den == 0:
-        raise DegenerateFlagsError("degenerate flags")
-    value = x(p + 1, q, r - 1) * x(p, q - 1, r + 1) * x(p - 1, q + 1, r) / den
-    if not value > 0:
-        raise PositivityViolationError(
-            f"positivity violation: tau[{triangle}]({p},{q},{r}) = {value}"
-        )
-    return value
+    cache: dict = {}
+
+    def x(a, b, c):
+        key = (a, b, c)
+        if key not in cache:
+            cache[key] = x_of(n, params, a, b, c)
+        return cache[key]
+
+    out = {}
+    for (p, q, r) in triples:
+        _check_pqr(n, p, q, r)
+        den = x(p - 1, q, r + 1) * x(p, q + 1, r - 1) * x(p + 1, q - 1, r)
+        if den == 0:
+            raise DegenerateFlagsError("degenerate flags")
+        value = Fraction(x(p + 1, q, r - 1) * x(p, q - 1, r + 1) * x(p - 1, q + 1, r), den)
+        if not value > 0:
+            raise PositivityViolationError(
+                f"positivity violation: tau[{triangle}]({p},{q},{r}) = {value}"
+            )
+        out[(p, q, r)] = value
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -297,13 +310,9 @@ def assemble_phi(n: int, params: PantsParams, method: str = "closed_form") -> Co
             tau[tri] = triple_ratios_exp(e, f, g, tuples)
     elif method == "closed_form":
         for leaf in LEAVES:
-            sigma[leaf] = tuple(
-                shearing_invariant_closed(n, params, leaf, p) for p in range(1, n)
-            )
+            sigma[leaf] = tuple(_shearing_closed(n, params, leaf, range(1, n)))
         for tri in TRIANGLES:
-            tau[tri] = {
-                pqr: triangle_invariant_closed(n, params, tri, *pqr) for pqr in tuples
-            }
+            tau[tri] = _triangle_closed(n, params, tri, tuples)
     else:
         raise ValueError(f"unknown method {method!r}")
     coords = CoordinateVector(n=n, sigma=sigma, tau=tau)

@@ -11,8 +11,8 @@ Triple ratios and double ratios are alternating products of such wedge
 determinants over prefix bases of the flags involved.  Both are
 projective invariants: rescaling any basis vector, or moving all flags
 by one invertible matrix, leaves them unchanged.  They are returned
-*exponentiated* (the conventional invariant is their log) so the exact
-backend can compare independently computed values exactly.
+*exponentiated* (the conventional invariant is their log) so
+independently computed values can be compared exactly.
 
 Genericity of a flag tuple means every dimension-compatible choice of
 prefixes spans: for each way of writing n = n_1 + ... + n_k with
@@ -90,7 +90,7 @@ def apply_matrix(m, flag: Flag, check: bool = False) -> Flag:
     return Flag([linalg.mat_vec(m, list(v)) for v in flag.basis], check=check)
 
 
-def flags_equal(f: Flag, g: Flag, tol: float = 1e-9) -> bool:
+def flags_equal(f: Flag, g: Flag) -> bool:
     """Subspace-wise equality: every prefix of one lies in the span of
     the same-length prefix of the other."""
     if f.dim != g.dim:
@@ -98,7 +98,7 @@ def flags_equal(f: Flag, g: Flag, tol: float = 1e-9) -> bool:
     n = f.dim
     for i in range(1, n):
         rows = list(f.prefix(i)) + list(g.prefix(i))
-        if linalg.rank(rows, tol=tol) != i:
+        if linalg.rank(rows) != i:
             return False
     return True
 

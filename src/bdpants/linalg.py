@@ -1,39 +1,21 @@
-"""Dense linear algebra kernels shared by both scalar backends.
+"""Dense exact linear algebra kernels.
 
 Determinants carry the whole computation: every projective invariant in
-this package is an alternating product of n-by-n determinants.  The
-exact backend uses fraction-free Bareiss elimination (intermediate
-entries are quotients of minors, so integer input stays integer and
-rational input does not blow up the way naive Gaussian elimination
-does); the float backend uses ordinary partial pivoting.  Matrices are
+this package is an alternating product of n-by-n determinants.  Entries
+are ints or Fractions.  The determinant clears each row's denominators,
+runs fraction-free Bareiss elimination over Python ints (every
+intermediate entry is a minor of the scaled matrix, so each division is
+exact) and divides by the row scales once at the end.  Matrices are
 lists of row lists and sizes stay at desk scale.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
-from .scalars import MixedBackendError
 
-
-def _classify(rows):
-    """Return True for the float backend, False for exact; reject mixes."""
-    has_float = False
-    has_exact = False
-    for row in rows:
-        for x in row:
-            if isinstance(x, float):
-                has_float = True
-            elif isinstance(x, (Fraction, int)):
-                has_exact = has_exact or isinstance(x, Fraction)
-            else:
-                raise MixedBackendError(f"not a scalar entry: {x!r}")
-    if has_float and has_exact:
-        raise MixedBackendError("matrix mixes exact and float entries")
-    return has_float
-
-
-def det(rows):
+def det(rows) -> Fraction:
     """Determinant of a square matrix given as a list of rows."""
     n = len(rows)
     for row in rows:
@@ -41,15 +23,17 @@ def det(rows):
             raise ValueError(f"matrix is not square: {n} rows, row of length {len(row)}")
     if n == 0:
         return Fraction(1)
-    if _classify(rows):
-        return _det_float([list(row) for row in rows])
-    return _det_bareiss([[Fraction(x) for x in row] for row in rows])
-
-
-def _det_bareiss(m):
-    n = len(m)
+    scale = 1
+    m = []
+    for row in rows:
+        # a list, not a generator: unpacking a generator builds its tuple
+        # by resizing, which moves memory into CPython's tuple free lists
+        # on every call until they fill (about 1.7 MB at n = 10)
+        d = math.lcm(*[x.denominator for x in row])
+        scale *= d
+        m.append([x.numerator * (d // x.denominator) for x in row])
     sign = 1
-    prev = Fraction(1)
+    prev = 1
     for k in range(n - 1):
         if m[k][k] == 0:
             for i in range(k + 1, n):
@@ -59,58 +43,22 @@ def _det_bareiss(m):
                     break
             else:
                 return Fraction(0)
-        pivot = m[k][k]
+        row_k = m[k]
+        pivot = row_k[k]
         for i in range(k + 1, n):
-            mik = m[i][k]
             row_i = m[i]
-            row_k = m[k]
+            mik = row_i[k]
             for j in range(k + 1, n):
-                row_i[j] = (row_i[j] * pivot - mik * row_k[j]) / prev
+                row_i[j] = (row_i[j] * pivot - mik * row_k[j]) // prev
         prev = pivot
-    return sign * m[n - 1][n - 1]
+    return Fraction(sign * m[n - 1][n - 1], scale)
 
 
-def _det_float(m):
-    n = len(m)
-    result = 1.0
-    for k in range(n):
-        piv = max(range(k, n), key=lambda i: abs(m[i][k]))
-        if m[piv][k] == 0.0:
-            return 0.0
-        if piv != k:
-            m[k], m[piv] = m[piv], m[k]
-            result = -result
-        pivot = float(m[k][k])
-        result *= pivot
-        for i in range(k + 1, n):
-            f = m[i][k] / pivot
-            if f == 0.0:
-                continue
-            row_i = m[i]
-            row_k = m[k]
-            for j in range(k + 1, n):
-                row_i[j] -= f * row_k[j]
-    return result
-
-
-def rank(rows, tol: float = 1e-9):
-    """Rank of a (possibly rectangular) matrix of rows.
-
-    Exact entries give the exact rank.  Float rows are first scaled to
-    unit max-magnitude (rank is row-scale invariant, and a shared pivot
-    threshold is meaningless across rows of wildly different size), then
-    eliminated with complete pivoting - picking a small leading entry
-    barely above the threshold would poison the remaining columns - and
-    pivots at or below `tol` count as zero.
-    """
+def rank(rows) -> int:
+    """Exact rank of a (possibly rectangular) matrix of rows."""
     if not rows:
         return 0
-    if _classify(rows):
-        return _rank_float([list(row) for row in rows], tol)
-    return _rank_exact([[Fraction(x) for x in row] for row in rows])
-
-
-def _rank_exact(m):
+    m = [[Fraction(x) for x in row] for row in rows]
     nrows = len(m)
     ncols = len(m[0])
     r = 0
@@ -134,38 +82,6 @@ def _rank_exact(m):
     return r
 
 
-def _rank_float(m, tol):
-    nrows = len(m)
-    ncols = len(m[0])
-    for row in m:
-        scale = max(abs(x) for x in row)
-        if scale > 0.0:
-            for j in range(ncols):
-                row[j] /= scale
-    free_cols = list(range(ncols))
-    r = 0
-    while r < nrows and free_cols:
-        best = max(
-            ((i, j) for i in range(r, nrows) for j in free_cols),
-            key=lambda ij: abs(m[ij[0]][ij[1]]),
-        )
-        pivot = m[best[0]][best[1]]
-        if abs(pivot) <= tol:
-            break
-        m[r], m[best[0]] = m[best[0]], m[r]
-        col = best[1]
-        free_cols.remove(col)
-        for i in range(r + 1, nrows):
-            f = m[i][col] / pivot
-            if f == 0.0:
-                continue
-            for j in free_cols:
-                m[i][j] -= f * m[r][j]
-            m[i][col] = 0.0
-        r += 1
-    return r
-
-
 def mat_mul(a, b):
     """Product of two matrices (lists of rows)."""
     inner = len(b)
@@ -183,9 +99,3 @@ def mat_vec(a, v):
     if any(len(row) != len(v) for row in a):
         raise ValueError("incompatible shapes")
     return [sum(row[k] * v[k] for k in range(len(v))) for row in a]
-
-
-def identity(n, exact: bool = True):
-    one = Fraction(1) if exact else 1.0
-    zero = Fraction(0) if exact else 0.0
-    return [[one if i == j else zero for j in range(n)] for i in range(n)]

@@ -26,9 +26,11 @@ biinfinite leaves have the ideal vertices recorded in
 points, as explicit functions of (alpha, beta, gamma), are all the
 coordinate computation needs.
 
-On the exact backend the parameters (alpha, beta, gamma) are rationals
-supplied directly (the lengths are then transcendental and reported as
-floats only); the float backend starts from lengths.
+Every computation runs over the rationals.  The parameters are either
+rationals supplied directly (the lengths are then transcendental and
+reported as floats only) or derived from float lengths, each
+exponential rounded once to a float and taken as the exact dyadic
+rational it is.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .scalars import Scalar, is_scalar, log_to_float, sqrt_scalar
+from .scalars import Scalar, exact_sqrt, log_to_float
 
 
 class DomainError(ValueError):
@@ -58,43 +60,34 @@ class PantsLengths:
     def __post_init__(self):
         for name in ("lA", "lB", "lC"):
             value = getattr(self, name)
-            if not (value > 0):
-                raise DomainError(f"boundary length {name} must be positive, got {value}")
+            if not 0 < value < math.inf:
+                raise DomainError(
+                    f"boundary length {name} must be positive and finite, got {value}"
+                )
 
 
 @dataclass(frozen=True)
 class PantsParams:
     """The (alpha, beta, gamma) triple; see the module docstring.
 
-    Construction does not validate, so that out-of-domain triples can be
-    fed to `check_domain`; everything that builds geometry from a triple
-    calls `validate_params` first.
+    Every field is stored as `Fraction(x)` (exact for ints, Fractions
+    and finite floats).  Construction does not validate, so that
+    out-of-domain triples can be fed to `check_domain`; everything that
+    builds geometry from a triple calls `validate_params` first.
     """
 
-    alpha: Scalar
-    beta: Scalar
-    gamma: Scalar
+    alpha: Fraction
+    beta: Fraction
+    gamma: Fraction
 
     def __post_init__(self):
-        # plain ints are upgraded so exact division stays exact
         for name in ("alpha", "beta", "gamma"):
-            value = getattr(self, name)
-            if isinstance(value, int) and not isinstance(value, bool):
-                object.__setattr__(self, name, Fraction(value))
-
-    def is_exact(self) -> bool:
-        return not isinstance(self.alpha, float)
+            object.__setattr__(self, name, Fraction(getattr(self, name)))
 
 
 def validate_params(params: PantsParams) -> None:
-    """Raise DomainError unless alpha > 1, beta > 0, 0 < gamma < 1 (all
-    on one backend)."""
+    """Raise DomainError unless alpha > 1, beta > 0, 0 < gamma < 1."""
     a, b, g = params.alpha, params.beta, params.gamma
-    if not all(is_scalar(x) for x in (a, b, g)):
-        raise DomainError(f"parameters are not scalars: {params}")
-    kinds = {isinstance(x, float) for x in (a, b, g)}
-    if len(kinds) != 1:
-        raise DomainError("parameters mix exact and float backends")
     if not a > 1:
         raise DomainError(f"alpha must exceed 1, got {a}")
     if not b > 0:
@@ -103,13 +96,33 @@ def validate_params(params: PantsParams) -> None:
         raise DomainError(f"gamma must lie in (0, 1), got {g}")
 
 
+def _exp(x: float, message: str) -> float:
+    try:
+        return math.exp(x)
+    except OverflowError:
+        raise DomainError(message) from None
+
+
 def params_from_lengths(lengths: PantsLengths) -> PantsParams:
-    """Float-backend parameters from boundary lengths."""
-    params = PantsParams(
-        alpha=math.exp(lengths.lA / 2),
-        beta=math.exp((lengths.lC - lengths.lA) / 2),
-        gamma=math.exp(-lengths.lB / 2),
-    )
+    """Exact parameters from boundary lengths: each exponential is
+    rounded once to a float, then taken as the dyadic rational it is.
+
+    Lengths whose exponentials leave the float range, or round onto the
+    boundary of the parameter domain, are refused by name.
+    """
+    lA, lB, lC = lengths.lA, lengths.lB, lengths.lC
+    alpha = _exp(lA / 2, f"boundary length lA = {lA} is too large: "
+                 "e^(lA/2) overflows a float")
+    beta = _exp((lC - lA) / 2, f"boundary lengths lC = {lC} and lA = {lA} are "
+                "too far apart: e^((lC - lA)/2) overflows a float")
+    gamma = math.exp(-lB / 2)
+    if alpha == 1:
+        raise DomainError(f"boundary length lA = {lA} is too small: e^(lA/2) rounds to 1")
+    if gamma == 1:
+        raise DomainError(f"boundary length lB = {lB} is too small: e^(-lB/2) rounds to 1")
+    if gamma == 0:
+        raise DomainError(f"boundary length lB = {lB} is too large: e^(-lB/2) rounds to 0")
+    params = PantsParams(alpha, beta, gamma)
     validate_params(params)
     return params
 
@@ -208,14 +221,11 @@ class ProjPoint:
 
     @classmethod
     def of(cls, value: Scalar) -> "ProjPoint":
-        one = 1.0 if isinstance(value, float) else Fraction(1)
-        return cls(value, one)
+        return cls(value, Fraction(1))
 
     @classmethod
-    def infinity(cls, exact: bool = True) -> "ProjPoint":
-        one = Fraction(1) if exact else 1.0
-        zero = Fraction(0) if exact else 0.0
-        return cls(one, zero)
+    def infinity(cls) -> "ProjPoint":
+        return cls(Fraction(1), Fraction(0))
 
     @property
     def is_infinity(self) -> bool:
@@ -243,11 +253,9 @@ def mobius_apply(m: SL2Mat, x: ProjPoint) -> ProjPoint:
 
 
 def _eigenvector(m: SL2Mat, lam: Scalar) -> ProjPoint:
-    # kernel of (m - lam*I), solved from the larger row: under float
-    # rounding the numerically-zero row would yield a junk direction
-    row1 = max(abs(m.a - lam), abs(m.b))
-    row2 = max(abs(m.c), abs(m.d - lam))
-    if row1 >= row2:
+    # kernel of the rank-one matrix (m - lam*I), solved from a nonzero
+    # row: the first row vanishes for lower-triangular m and lam = m.a
+    if m.b != 0 or m.a != lam:
         return ProjPoint(m.b, lam - m.a)
     return ProjPoint(lam - m.d, m.c)
 
@@ -257,13 +265,13 @@ def fixed_points(m: SL2Mat):
 
     The eigenvalues solve t^2 - tr(m) t + 1 = 0; the attracting point is
     the eigendirection of the larger-modulus eigenvalue (the derivative
-    of the projective action there has modulus below one).  On the exact
-    backend the trace discriminant must be a perfect rational square.
+    of the projective action there has modulus below one).  The trace
+    discriminant must be a perfect rational square.
     """
     t = m.trace()
     if not abs(t) > 2:
         raise ValueError(f"matrix is not hyperbolic (|trace| = {abs(t)})")
-    s = sqrt_scalar(t * t - 4)
+    s = exact_sqrt(t * t - 4)
     if t > 0:
         lam_big = (t + s) / 2
         lam_small = (t - s) / 2
@@ -289,8 +297,8 @@ def build_rep(params: PantsParams) -> PantsRep:
     """The normalized representation of the module docstring."""
     validate_params(params)
     al, be, ga = params.alpha, params.beta, params.gamma
-    a = SL2Mat(al, al * be * ga + 1 / al, 0 * al, 1 / al)
-    b = SL2Mat(ga, 0 * ga, -1 / be - 1 / ga, 1 / ga)
+    a = SL2Mat(al, al * be * ga + 1 / al, Fraction(0), 1 / al)
+    b = SL2Mat(ga, Fraction(0), -1 / be - 1 / ga, 1 / ga)
     c = b.inv().mul(a.inv())
     # |tr(c)| = alpha*beta + 1/(alpha*beta) dips to 2 exactly at
     # alpha*beta = 1, where the third boundary degenerates
@@ -324,21 +332,16 @@ BOUNDARY_LEAVES = {
 }
 
 
-def _one(params: PantsParams) -> Scalar:
-    return 1.0 if isinstance(params.alpha, float) else Fraction(1)
-
-
 def triangle_vertices(params: PantsParams, triangle: str):
     """Clockwise ideal vertex triple of a lifted triangle.
 
     The lamination cuts P into two ideal triangles; convenient lifts
     have vertices (inf, 1, 0) and (inf, 0, -beta*gamma).
     """
-    one = _one(params)
-    inf = ProjPoint(one, 0 * one)
-    zero = ProjPoint(0 * one, one)
+    inf = ProjPoint.infinity()
+    zero = ProjPoint.of(Fraction(0))
     if triangle == "T0":
-        return (inf, ProjPoint.of(one), zero)
+        return (inf, ProjPoint.of(Fraction(1)), zero)
     if triangle == "T1":
         return (inf, zero, ProjPoint.of(-params.beta * params.gamma))
     raise ValueError(f"unknown triangle {triangle!r}")
@@ -354,9 +357,9 @@ def leaf_quadruple(params: PantsParams, leaf: str):
     a(0) = alpha^2*beta*gamma + 1.
     """
     al, be, ga = params.alpha, params.beta, params.gamma
-    one = _one(params)
-    inf = ProjPoint(one, 0 * one)
-    zero = ProjPoint(0 * one, one)
+    one = Fraction(1)
+    inf = ProjPoint.infinity()
+    zero = ProjPoint.of(Fraction(0))
     if leaf == "h_AB":
         return (inf, zero, ProjPoint.of(-be * ga), ProjPoint.of(one))
     if leaf == "h_BC":

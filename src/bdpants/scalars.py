@@ -1,17 +1,14 @@
-"""Scalar backends: exact rationals and 64-bit floats.
+"""Scalars: exact rationals, with floats only at input and output.
 
 Every invariant computed by this package is a ratio of determinants and
-is stored *exponentiated*: on the exact backend it is a
-`fractions.Fraction`, so two independently computed values can be
-compared for equality with no tolerance.  Natural logarithms (the
-conventional form of the coordinates) are irrational for rational
-inputs, so they are taken only at presentation time.
-
-A value belongs to exactly one backend.  Python would happily coerce a
-`Fraction` plus a `float` to a `float`; the checked operations below
-refuse instead, because a silent downgrade to floating point would
-invalidate every exact-equality test downstream.  Plain `int` is
-accepted by either backend.
+is stored *exponentiated* as a `fractions.Fraction`, so two
+independently computed values can be compared for equality with no
+tolerance.  A float input (a boundary length, or the exponential of
+one) is itself an exact dyadic rational and enters the computation
+through `Fraction(x)` without rounding.  Floats come back out only for
+presentation: `as_float` and `log_to_float` each round once.  Natural
+logarithms (the conventional form of the coordinates) are irrational
+for rational inputs, so they are taken only at that point.
 """
 
 from __future__ import annotations
@@ -19,77 +16,11 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-Scalar = Fraction | float
+Scalar = Fraction
 
 
-class MixedBackendError(TypeError):
-    """Operands from the exact and float backends met in one operation."""
-
-
-def is_scalar(x) -> bool:
-    return isinstance(x, (Fraction, int, float)) and not isinstance(x, bool)
-
-
-def _coerce_pair(a, b):
-    """Return (a, b) on a common backend, or raise MixedBackendError."""
-    if not is_scalar(a) or not is_scalar(b):
-        raise MixedBackendError(f"not scalars: {a!r}, {b!r}")
-    a_float = isinstance(a, float)
-    b_float = isinstance(b, float)
-    if a_float and b_float:
-        return a, b
-    if a_float or b_float:
-        # int is backend-neutral; Fraction is not.
-        if isinstance(a, Fraction) or isinstance(b, Fraction):
-            raise MixedBackendError("cannot mix exact and float scalars")
-        return float(a), float(b)
-    return Fraction(a), Fraction(b)
-
-
-def add(a: Scalar, b: Scalar) -> Scalar:
-    a, b = _coerce_pair(a, b)
-    return a + b
-
-
-def sub(a: Scalar, b: Scalar) -> Scalar:
-    a, b = _coerce_pair(a, b)
-    return a - b
-
-
-def mul(a: Scalar, b: Scalar) -> Scalar:
-    a, b = _coerce_pair(a, b)
-    return a * b
-
-
-def div(a: Scalar, b: Scalar) -> Scalar:
-    a, b = _coerce_pair(a, b)
-    if b == 0:
-        raise ZeroDivisionError("division by zero")
-    return a / b
-
-
-def neg(a: Scalar) -> Scalar:
-    if not is_scalar(a):
-        raise MixedBackendError(f"not a scalar: {a!r}")
-    return -a
-
-
-def is_zero(a: Scalar) -> bool:
-    return a == 0
-
-
-def compare(a: Scalar, b: Scalar) -> int:
-    """Three-way comparison: -1, 0 or +1."""
-    a, b = _coerce_pair(a, b)
-    if a < b:
-        return -1
-    if a > b:
-        return 1
-    return 0
-
-
-def parse_scalar(text: str, exact: bool = True) -> Scalar:
-    """Parse "p/q" (exact) or a decimal literal (float backend).
+def parse_scalar(text: str, exact: bool = True):
+    """Parse "p/q" as a Fraction (exact) or a decimal literal as a float.
 
     The unicode minus sign is accepted alongside the ASCII one.
     """
@@ -106,30 +37,22 @@ def parse_scalar(text: str, exact: bool = True) -> Scalar:
 
 
 def scalar_str(x: Scalar) -> str:
-    """Canonical text form: "p/q" with "/q" omitted when q = 1; floats
-    via repr (shortest round-tripping form, >= 15 significant digits)."""
-    if isinstance(x, float):
-        return repr(x)
+    """Canonical text form: "p/q" with "/q" omitted when q = 1."""
     return str(Fraction(x))
 
 
 def as_float(x: Scalar) -> float:
-    if isinstance(x, float):
-        return x
+    """The nearest float64; raises OverflowError beyond its range."""
     x = Fraction(x)
     return x.numerator / x.denominator
 
 
 def log_to_float(x: Scalar) -> float:
-    """Natural log of a positive scalar, as float64.
+    """Natural log of a positive rational, as float64.
 
-    Exact values are split as log(num) - log(den) so arbitrarily large
+    The value is split as log(num) - log(den) so arbitrarily large
     rationals do not overflow on conversion.
     """
-    if isinstance(x, float):
-        if x <= 0.0:
-            raise ValueError("log of non-positive value")
-        return math.log(x)
     x = Fraction(x)
     if x <= 0:
         raise ValueError("log of non-positive value")
@@ -146,12 +69,3 @@ def exact_sqrt(x: Fraction) -> Fraction:
     if rn * rn != x.numerator or rd * rd != x.denominator:
         raise ValueError(f"{x} is not a perfect rational square")
     return Fraction(rn, rd)
-
-
-def sqrt_scalar(x: Scalar) -> Scalar:
-    """Backend-preserving square root; exact input must be a perfect square."""
-    if isinstance(x, float):
-        if x < 0.0:
-            raise ValueError("square root of a negative value")
-        return math.sqrt(x)
-    return exact_sqrt(Fraction(x))

@@ -9,11 +9,11 @@ ratios, rotation and constancy of the triangle invariants, exact
 agreement of the generic and closed-form paths, the boundary length
 identity against the eigenvalue ratios, and positivity.
 
-On the exact backend every comparison is exact equality of rationals;
-the float backend compares to relative tolerance 1e-6 (the wedge
-determinants keep only ~7 significant digits by n = 7, and a genuine
-formula error would be off by orders of magnitude, not in the seventh
-digit).  Results are grouped into named categories with the first
+Every comparison is exact equality of rationals.  Exact mode draws
+rational parameter triples; float mode draws random boundary lengths
+and checks the parameters derived from them (exact dyadic rationals,
+see `bdpants.pants.params_from_lengths`) in exactly the same way.
+Results are grouped into named categories with the first
 counterexample retained verbatim.
 """
 
@@ -100,10 +100,11 @@ class CheckResult:
 def random_params(rng: random.Random, exact: bool = True) -> PantsParams:
     """A parameter triple in the full admissible domain.
 
-    alpha > 1, 0 < gamma < 1, beta > 0 with small numerators and
+    Exact: alpha > 1, 0 < gamma < 1, beta > 0 with small numerators and
     denominators, resampling beta until alpha*beta > 1 (the remaining
     domain inequality; it always holds for length-derived parameters and
-    the boundary length identity needs it).
+    the boundary length identity needs it).  Otherwise: the parameters
+    of random boundary lengths in [0.4, 3.2].
     """
     if not exact:
         lengths = PantsLengths(
@@ -124,47 +125,32 @@ def random_params(rng: random.Random, exact: bool = True) -> PantsParams:
     return params
 
 
-def random_point(rng: random.Random, exact: bool = True) -> ProjPoint:
+def random_point(rng: random.Random) -> ProjPoint:
     if rng.random() < 0.1:
-        return ProjPoint.infinity(exact=exact)
-    if exact:
-        return ProjPoint.of(Fraction(rng.randint(-24, 24), rng.randint(1, 8)))
-    return ProjPoint.of(rng.uniform(-6.0, 6.0))
+        return ProjPoint.infinity()
+    return ProjPoint.of(Fraction(rng.randint(-24, 24), rng.randint(1, 8)))
 
 
-def random_flag(rng: random.Random, n: int, exact: bool = True) -> Flag:
+def random_flag(rng: random.Random, n: int) -> Flag:
     while True:
         basis = [
             [Fraction(rng.randint(-5, 5)) for _ in range(n)] for _ in range(n)
         ]
-        if not exact:
-            basis = [[float(x) for x in row] for row in basis]
         try:
             return Flag(basis)
         except ValueError:
             continue
 
 
-def random_generic_triple(rng: random.Random, n: int, exact: bool = True):
+def random_generic_triple(rng: random.Random, n: int):
     while True:
-        triple = tuple(random_flag(rng, n, exact) for _ in range(3))
+        triple = tuple(random_flag(rng, n) for _ in range(3))
         if is_generic(triple):
             return triple
 
 
 # ---------------------------------------------------------------------------
 # the sweep
-
-FLOAT_TOL = 1e-6
-
-
-def _make_eq(exact: bool, tol: float = FLOAT_TOL):
-    if exact:
-        return lambda a, b: a == b
-    def close(a, b):
-        return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
-    return close
-
 
 def _fmt_params(params: PantsParams) -> str:
     return f"(alpha={params.alpha}, beta={params.beta}, gamma={params.gamma})"
@@ -173,7 +159,6 @@ def _fmt_params(params: PantsParams) -> str:
 def run_verification(config: VerifyConfig) -> dict:
     """Run all categories; returns {name: CheckResult} in report order."""
     rng = random.Random(config.seed)
-    eq = _make_eq(config.exact)
     results = {name: CheckResult(name) for name in CHECK_NAMES}
     ns = range(2, config.max_n + 1)
 
@@ -183,24 +168,22 @@ def run_verification(config: VerifyConfig) -> dict:
         rep = build_rep(params)
 
         _check_domain(results["domain_inequalities"], params, ctx)
-        _check_group_relation(results["group_relation"], rep, eq, ctx)
-        _check_fixed_points(results["fixed_point_formulas"], params, rep, config.exact, ctx)
+        _check_group_relation(results["group_relation"], rep, ctx)
+        _check_fixed_points(results["fixed_point_formulas"], params, rep, ctx)
 
         for n in ns:
             nctx = f"n={n} params={ctx}"
-            _check_equivariance(results["equivariance"], rep, n, rng, config.exact, nctx)
+            _check_equivariance(results["equivariance"], rep, n, rng, nctx)
             _check_stable_flag(results["stable_flag"], rep, n, nctx)
             _check_genericity(results["genericity"], params, n, nctx)
-            _check_triple_symmetry(
-                results["triple_ratio_symmetry"], rng, n, config.exact, eq, nctx
-            )
-            _check_rotation(results["triangle_rotation"], params, n, eq, nctx)
+            _check_triple_symmetry(results["triple_ratio_symmetry"], rng, n, nctx)
+            _check_rotation(results["triangle_rotation"], params, n, nctx)
 
             generic = assemble_phi(n, params, "generic")
             closed = assemble_phi(n, params, "closed_form")
-            _check_constancy(results["triangle_constancy"], generic, eq, nctx)
-            _check_oracle(results["oracle_equivalence"], generic, closed, eq, nctx)
-            _check_lengths(results["length_identity"], generic, rep, n, eq, nctx)
+            _check_constancy(results["triangle_constancy"], generic, nctx)
+            _check_oracle(results["oracle_equivalence"], generic, closed, nctx)
+            _check_lengths(results["length_identity"], generic, rep, n, nctx)
             _check_positivity(results["positivity"], generic, nctx)
 
     return results
@@ -210,29 +193,19 @@ def all_passed(results: dict) -> bool:
     return all(r.failed == 0 for r in results.values())
 
 
-def _points_close(x: ProjPoint, y: ProjPoint, exact: bool, tol: float = FLOAT_TOL) -> bool:
-    if exact:
-        return x == y
-    xm = max(abs(x.u), abs(x.v))
-    ym = max(abs(y.u), abs(y.v))
-    return abs((x.u / xm) * (y.v / ym) - (y.u / ym) * (x.v / xm)) <= tol
-
-
 def _check_domain(result, params, ctx):
     report = check_domain(params)
     bad = [name for name, ok in report.items() if not ok]
     result.record(not bad, f"params={ctx}: failed {bad}")
 
 
-def _check_group_relation(result, rep, eq, ctx):
+def _check_group_relation(result, rep, ctx):
     prod = rep.a.mul(rep.b).mul(rep.c)
-    ok = (
-        eq(prod.a, 1) and eq(prod.d, 1) and eq(prod.b, 0) and eq(prod.c, 0)
-    )
+    ok = prod.a == 1 and prod.d == 1 and prod.b == 0 and prod.c == 0
     result.record(ok, f"params={ctx}: a*b*c = {prod}")
 
 
-def _check_fixed_points(result, params, rep, exact, ctx):
+def _check_fixed_points(result, params, rep, ctx):
     al, be, ga = params.alpha, params.beta, params.gamma
     att_a, rep_a = fixed_points(rep.a)
     att_b, rep_b = fixed_points(rep.b)
@@ -241,12 +214,12 @@ def _check_fixed_points(result, params, rep, exact, ctx):
     formula_b = ProjPoint(ga - 1 / ga, -1 / be - 1 / ga)
     formula_c = ProjPoint(al * be + 1 / (al * ga), 1 / (al * ga) + 1 / (al * be))
     checks = [
-        _points_close(att_a, ProjPoint.infinity(exact), exact),
-        _points_close(rep_a, formula_a, exact),
-        _points_close(att_b, ProjPoint.of(0 * al), exact),
-        _points_close(rep_b, formula_b, exact),
-        _points_close(att_c, ProjPoint.of(al / al), exact),
-        _points_close(rep_c, formula_c, exact),
+        att_a == ProjPoint.infinity(),
+        rep_a == formula_a,
+        att_b == ProjPoint.of(Fraction(0)),
+        rep_b == formula_b,
+        att_c == ProjPoint.of(Fraction(1)),
+        rep_c == formula_c,
         # circular ordering of the repelling points
         rep_a.value() < 0,
         0 < rep_b.value() < 1,
@@ -258,24 +231,14 @@ def _check_fixed_points(result, params, rep, exact, ctx):
     )
 
 
-def _moderate(x: ProjPoint, bound: float = 8.0) -> bool:
-    # true infinity is fine (clean monomial flag); huge finite values are
-    # not: the prefix basis of their flag is nearly parallel and float
-    # span comparison degenerates with n
-    return x.v == 0 or abs(x.u) <= bound * abs(x.v)
-
-
-def _check_equivariance(result, rep, n, rng, exact, ctx):
-    points = [random_point(rng, exact) for _ in range(2)]
+def _check_equivariance(result, rep, n, rng, ctx):
+    points = [random_point(rng) for _ in range(2)]
     for mat in (rep.a, rep.b, rep.c):
         power = sym_power(mat, n)
         for x in points:
-            image = mobius_apply(mat, x)
-            if not exact and not (_moderate(x) and _moderate(image)):
-                continue
             lhs = apply_matrix(power, flag_curve(x, n))
-            rhs = flag_curve(image, n)
-            ok = flags_equal(lhs, rhs, tol=FLOAT_TOL)
+            rhs = flag_curve(mobius_apply(mat, x), n)
+            ok = flags_equal(lhs, rhs)
             result.record(ok, f"{ctx} point={x}: equivariance fails")
             if not ok:
                 return
@@ -284,7 +247,7 @@ def _check_equivariance(result, rep, n, rng, exact, ctx):
 def _check_stable_flag(result, rep, n, ctx):
     for name, mat in (("a", rep.a), ("b", rep.b), ("c", rep.c)):
         att, _ = fixed_points(mat)
-        ok = flags_equal(flag_curve(att, n), stable_flag(mat, n), tol=FLOAT_TOL)
+        ok = flags_equal(flag_curve(att, n), stable_flag(mat, n))
         result.record(ok, f"{ctx} generator {name}: stable flag mismatch")
 
 
@@ -297,8 +260,8 @@ def _check_genericity(result, params, n, ctx):
         result.record(is_generic(flags), f"{ctx} triangle {tri}: triple not generic")
 
 
-def _check_triple_symmetry(result, rng, n, exact, eq, ctx):
-    e, f, g = random_generic_triple(rng, n, exact)
+def _check_triple_symmetry(result, rng, n, ctx):
+    e, f, g = random_generic_triple(rng, n)
     tuples = tau_index_tuples(n)
     if not tuples:
         result.record(True)
@@ -308,15 +271,15 @@ def _check_triple_symmetry(result, rng, n, exact, eq, ctx):
     t_fge = triple_ratios_exp(f, g, e, tuples)
     t_feg = triple_ratios_exp(f, e, g, tuples)
     for (p, q, r) in tuples:
-        cyclic = eq(t_efg[(p, q, r)], t_fge[(q, r, p)])
-        inverse = eq(t_efg[(p, q, r)] * t_feg[(q, p, r)], 1)
+        cyclic = t_efg[(p, q, r)] == t_fge[(q, r, p)]
+        inverse = t_efg[(p, q, r)] * t_feg[(q, p, r)] == 1
         result.record(
             cyclic and inverse,
             f"{ctx} (p,q,r)=({p},{q},{r}): triple-ratio symmetry fails",
         )
 
 
-def _check_rotation(result, params, n, eq, ctx):
+def _check_rotation(result, params, n, ctx):
     tuples = tau_index_tuples(n)
     if not tuples:
         result.record(True)
@@ -327,39 +290,37 @@ def _check_rotation(result, params, n, eq, ctx):
         rot1 = triple_ratios_exp(f, g, e, [(q, r, p) for (p, q, r) in tuples])
         rot2 = triple_ratios_exp(g, e, f, [(r, p, q) for (p, q, r) in tuples])
         for (p, q, r) in tuples:
-            ok = eq(base[(p, q, r)], rot1[(q, r, p)]) and eq(
-                base[(p, q, r)], rot2[(r, p, q)]
-            )
+            ok = base[(p, q, r)] == rot1[(q, r, p)] == rot2[(r, p, q)]
             result.record(
                 ok, f"{ctx} {tri} (p,q,r)=({p},{q},{r}): rotation relation fails"
             )
 
 
-def _check_constancy(result, coords, eq, ctx):
+def _check_constancy(result, coords, ctx):
     for pqr, value in coords.tau["T0"].items():
-        ok = eq(value, coords.tau["T1"][pqr])
+        ok = value == coords.tau["T1"][pqr]
         result.record(
             ok,
             f"{ctx} (p,q,r)={pqr}: tau T0 = {value} differs from T1 = {coords.tau['T1'][pqr]}",
         )
 
 
-def _check_oracle(result, generic, closed, eq, ctx):
+def _check_oracle(result, generic, closed, ctx):
     for (label_g, value_g), (label_c, value_c) in zip(
         generic.labeled_entries(), closed.labeled_entries()
     ):
-        ok = label_g == label_c and eq(value_g, value_c)
+        ok = label_g == label_c and value_g == value_c
         result.record(
             ok, f"{ctx} {label_g}: generic {value_g} != closed-form {value_c}"
         )
 
 
-def _check_lengths(result, coords, rep, n, eq, ctx):
+def _check_lengths(result, coords, rep, n, ctx):
     for boundary in BOUNDARIES:
         ratios = eigen_lengths(boundary_matrix(rep, boundary), n)
         for p in range(1, n):
             lhs = boundary_sum_R(coords, boundary, p)
-            ok = eq(lhs, ratios[p - 1])
+            ok = lhs == ratios[p - 1]
             result.record(
                 ok,
                 f"{ctx} boundary {boundary} p={p}: R_p = {lhs} != {ratios[p - 1]}",

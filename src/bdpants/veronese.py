@@ -26,7 +26,7 @@ from fractions import Fraction
 
 from .flags import Flag
 from .pants import ProjPoint, SL2Mat, fixed_points
-from .scalars import Scalar, sqrt_scalar
+from .scalars import Scalar, exact_sqrt
 
 
 def _lin_power(s, t, m: int):
@@ -62,9 +62,8 @@ def flag_curve(x: ProjPoint, n: int) -> Flag:
         raise ValueError(f"flag curve needs n >= 2, got {n}")
     if not isinstance(x, ProjPoint):
         raise ValueError(f"not a projective point: {x!r}")
-    exact = not (isinstance(x.u, float) or isinstance(x.v, float))
-    zero = Fraction(0) if exact else 0.0
-    one = Fraction(1) if exact else 1.0
+    zero = Fraction(0)
+    one = Fraction(1)
     basis = []
     if x.v == 0:
         # divisibility by X^{n-i}: the monomial ladder itself
@@ -96,12 +95,12 @@ def stable_flag(m: SL2Mat, n: int) -> Flag:
 
 def top_eigenvalue(m: SL2Mat) -> Scalar:
     """The eigenvalue above 1 of the positive-eigenvalue lift of a
-    hyperbolic element (exact backend: the trace discriminant must be a
-    perfect rational square)."""
+    hyperbolic element (the trace discriminant must be a perfect
+    rational square)."""
     t = m.trace()
     if not abs(t) > 2:
         raise ValueError(f"matrix is not hyperbolic (|trace| = {abs(t)})")
-    s = sqrt_scalar(t * t - 4)
+    s = exact_sqrt(t * t - 4)
     return (abs(t) + s) / 2
 
 

@@ -209,3 +209,80 @@ def test_version_flag(capsys):
     code, out, _ = run_cli(capsys, ["--version"])
     assert code == 0
     assert "bdpants" in out
+
+
+def _classical_errors(header, row, lengths):
+    """Worst deviation of the coordinate logs from the classical shears
+    (lA+lB-lC)/2, (lB+lC-lA)/2, (lC+lA-lB)/2 and from tau = 0."""
+    la, lb, lc = lengths
+    shear = {"hAB": (la + lb - lc) / 2, "hBC": (lb + lc - la) / 2, "hCA": (lc + la - lb) / 2}
+    worst = 0.0
+    for name, cell in zip(header, row):
+        if name.startswith("sigma_"):
+            worst = max(worst, abs(float(cell) - shear[name.split("_")[1]]))
+        elif name.startswith("tau_"):
+            worst = max(worst, abs(float(cell)))
+    return worst
+
+
+@pytest.mark.parametrize(
+    "n, point",
+    [
+        (10, (0.5, 2.375, 3.0)),
+        (10, (0.5, 3.0, 2.375)),
+        (10, (0.5, 3.0, 3.0)),
+        (10, (1.125, 3.0, 3.0)),
+        (15, (0.5, 1.75, 3.0)),
+    ],
+)
+def test_sweep_matches_classical_shears(capsys, n, point):
+    # README-grid points whose logs a float determinant got wrong
+    grid = ",".join(f"{axis}:{v!r}:{v!r}:1" for axis, v in zip(("lA", "lB", "lC"), point))
+    code, out, err = run_cli(capsys, ["sweep", "--n", str(n), "--grid", grid])
+    assert code == 0, err
+    header, row = list(csv.reader(io.StringIO(out)))
+    assert _classical_errors(header, row, point) <= 1e-12
+
+
+def test_coords_float_mode_rounds_exact_values_once(capsys):
+    code, out, _ = run_cli(
+        capsys, ["--n", "10", "--abc", "5/2,2,1/3", "--mode", "float"]
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["params"] == {"alpha": 2.5, "beta": 2.0, "gamma": 1 / 3}
+    expected = {"h_AB": 1.5, "h_BC": 6.0, "h_CA": 25 / 6}
+    for leaf, value in expected.items():
+        assert [e["exp"] for e in doc["coordinates"]["sigma"][leaf]] == [value] * 9
+    for tri in ("T0", "T1"):
+        for entry in doc["coordinates"]["tau"][tri].values():
+            assert entry == {"exp": 1.0, "log": 0.0}
+
+
+def test_coords_overflowing_length_is_a_domain_error(capsys):
+    code, _, err = run_cli(capsys, ["coords", "--n", "3", "--lengths", "1500,1,1500"])
+    assert code == 2
+    assert "lA = 1500.0" in err
+
+
+def test_coords_tiny_length_named(capsys):
+    code, _, err = run_cli(capsys, ["--n", "3", "--lengths", "1e-300,1,1"])
+    assert code == 2
+    assert "lA = 1e-300" in err and "alpha" not in err
+
+
+def test_coords_huge_exp_csv_logs(capsys):
+    code, out, err = run_cli(
+        capsys, ["--n", "3", "--lengths", "800,1,800", "--format", "csv"]
+    )
+    assert code == 0, err
+    header, row = list(csv.reader(io.StringIO(out)))
+    assert _classical_errors(header, row, (800.0, 1.0, 800.0)) <= 1e-12
+
+
+def test_coords_huge_exp_json_names_entry(capsys):
+    code, _, err = run_cli(
+        capsys, ["--n", "3", "--lengths", "800,1,800", "--format", "json"]
+    )
+    assert code == 2
+    assert "sigma h_CA p=1" in err and "does not fit in a float" in err

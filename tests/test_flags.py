@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -58,10 +59,48 @@ def test_determinant_against_leibniz(rng):
 
 
 def test_float_determinant_against_leibniz(rng):
+    # float-derived entries: dyadic rationals with denominators up to
+    # about 2^60, as Fraction(math.exp(x)) produces from a length
     for _ in range(40):
         n = rng.randint(1, 5)
-        rows = [[rng.uniform(-4, 4) for _ in range(n)] for _ in range(n)]
-        assert linalg.det(rows) == pytest.approx(leibniz_det(rows), rel=1e-10, abs=1e-12)
+        rows = [
+            [rng.choice((-1, 1)) * F(math.exp(rng.uniform(-6.0, 2.0))) for _ in range(n)]
+            for _ in range(n)
+        ]
+        assert linalg.det(rows) == leibniz_det(rows)
+
+
+def test_integer_determinant_against_leibniz(rng):
+    for _ in range(40):
+        n = rng.randint(1, 6)
+        rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+        value = linalg.det(rows)
+        assert isinstance(value, Fraction)
+        assert value == leibniz_det(rows)
+
+
+def test_determinant_zero_pivot_swaps_rows():
+    # a zero leading pivot, and one that appears after the first step
+    for rows in (
+        [[0, 1, 2], [3, 4, 5], [6, 7, 9]],
+        [[F(1), F(2), F(3)], [F(2), F(4), F(7)], [F(1), F(5), F(2)]],
+        [[0, 0, 1], [0, 1, 0], [1, 0, 0]],
+    ):
+        assert linalg.det(rows) == leibniz_det(rows) != 0
+
+
+def test_determinant_singular():
+    assert linalg.det([[F(1, 3), F(2, 5)], [F(2, 3), F(4, 5)]]) == 0
+    assert linalg.det([[0, 1, 2], [0, 3, 4], [0, 5, 7]]) == 0
+    assert linalg.det([[1, 2, 3], [4, 5, 6], [7, 8, 9]]) == 0
+
+
+def test_determinant_sizes_zero_and_one():
+    assert linalg.det([]) == 1
+    assert linalg.det([[F(-3, 7)]]) == F(-3, 7)
+    assert linalg.det([[5]]) == 5
+    with pytest.raises(ValueError):
+        linalg.det([[1, 2]])
 
 
 def test_flag_requires_independent_basis():

@@ -1,16 +1,9 @@
 import math
-import random
 from fractions import Fraction
 
 import pytest
 
 from bdpants import scalars
-from bdpants.scalars import MixedBackendError
-
-
-def test_exact_addition():
-    assert scalars.add(Fraction(1, 2), Fraction(1, 3)) == Fraction(5, 6)
-    assert scalars.sub(Fraction(1, 2), Fraction(1, 3)) == Fraction(1, 6)
 
 
 def test_parse_normalizes():
@@ -29,34 +22,6 @@ def test_unicode_minus_accepted():
     assert scalars.parse_scalar("−3/2") == Fraction(-3, 2)
 
 
-def test_division_by_zero():
-    with pytest.raises(ZeroDivisionError, match="division by zero"):
-        scalars.div(Fraction(3), Fraction(0))
-    with pytest.raises(ZeroDivisionError):
-        scalars.div(1.0, 0.0)
-
-
-def test_mixed_backends_rejected():
-    with pytest.raises(MixedBackendError):
-        scalars.add(Fraction(1, 2), 0.5)
-    with pytest.raises(MixedBackendError):
-        scalars.mul(0.5, Fraction(1, 2))
-
-
-def test_int_is_backend_neutral():
-    assert scalars.add(1, Fraction(1, 2)) == Fraction(3, 2)
-    assert scalars.add(1, 0.5) == 1.5
-
-
-def test_compare_and_sign_ops():
-    assert scalars.compare(Fraction(1, 3), Fraction(1, 2)) == -1
-    assert scalars.compare(Fraction(2), Fraction(2)) == 0
-    assert scalars.compare(0.5, 0.25) == 1
-    assert scalars.neg(Fraction(1, 2)) == Fraction(-1, 2)
-    assert scalars.is_zero(Fraction(0))
-    assert not scalars.is_zero(Fraction(1, 10 ** 30))
-
-
 def test_roundtrip_bit_identical(rng):
     for _ in range(200):
         x = Fraction(rng.randint(-10 ** 9, 10 ** 9), rng.randint(1, 10 ** 9))
@@ -66,22 +31,26 @@ def test_roundtrip_bit_identical(rng):
 
 
 def test_float_format_round_trips(rng):
+    # a float enters as the exact rational it is and comes back unchanged
     for _ in range(100):
-        x = rng.uniform(-1e6, 1e6)
-        assert float(scalars.scalar_str(x)) == x
+        x = rng.uniform(-1e6, 1e6) * 2.0 ** rng.randint(-900, 900)
+        parsed = scalars.parse_scalar(repr(x), exact=False)
+        assert parsed == x
+        assert scalars.as_float(Fraction(parsed)) == x
+    with pytest.raises(OverflowError):
+        scalars.as_float(Fraction(10) ** 400)
 
 
 def test_log_values():
     assert scalars.log_to_float(Fraction(1)) == 0.0
     assert abs(scalars.log_to_float(Fraction(2)) - 0.6931471805599453) <= 1e-15
-    assert scalars.log_to_float(4.0) == pytest.approx(math.log(4.0), abs=1e-15)
 
 
 def test_log_of_nonpositive():
     with pytest.raises(ValueError, match="log of non-positive value"):
         scalars.log_to_float(Fraction(-1))
     with pytest.raises(ValueError):
-        scalars.log_to_float(0.0)
+        scalars.log_to_float(Fraction(0))
 
 
 def test_log_of_huge_rational():
@@ -99,23 +68,3 @@ def test_exact_sqrt():
         scalars.exact_sqrt(Fraction(2))
     with pytest.raises(ValueError):
         scalars.exact_sqrt(Fraction(-4))
-
-
-def _random_fraction(rng):
-    return Fraction(rng.randint(-60, 60), rng.randint(1, 40))
-
-
-def test_field_axioms_randomized():
-    rng = random.Random(11)
-    for _ in range(300):
-        a, b, c = (_random_fraction(rng) for _ in range(3))
-        assert scalars.add(scalars.add(a, b), c) == scalars.add(a, scalars.add(b, c))
-        assert scalars.mul(scalars.mul(a, b), c) == scalars.mul(a, scalars.mul(b, c))
-        assert scalars.add(a, b) == scalars.add(b, a)
-        assert scalars.mul(a, b) == scalars.mul(b, a)
-        assert scalars.mul(a, scalars.add(b, c)) == scalars.add(
-            scalars.mul(a, b), scalars.mul(a, c)
-        )
-        assert scalars.add(a, scalars.neg(a)) == 0
-        if not scalars.is_zero(a):
-            assert scalars.mul(a, scalars.div(Fraction(1), a)) == 1

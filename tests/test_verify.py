@@ -1,3 +1,7 @@
+import math
+import random
+from fractions import Fraction
+
 import pytest
 
 from bdpants.verify import (
@@ -55,6 +59,12 @@ def test_random_params_stay_in_domain(rng):
         assert 0 < params.gamma < 1
         assert params.alpha * params.beta > 1
     for _ in range(10):
+        # float mode: the exact parameters of three random lengths
+        twin = random.Random()
+        twin.setstate(rng.getstate())
+        lA, lB, lC = (twin.uniform(0.4, 3.2) for _ in range(3))
         params = random_params(rng, exact=False)
-        assert isinstance(params.alpha, float)
+        assert params.alpha == Fraction(math.exp(lA / 2))
+        assert params.beta == Fraction(math.exp((lC - lA) / 2))
+        assert params.gamma == Fraction(math.exp(-lB / 2))
         assert params.alpha > 1 and 0 < params.gamma < 1 and params.beta > 0
