@@ -18,19 +18,15 @@ from .coords import (
     binom_ext,
     boundary_sum_R,
     polytope_check,
-    shearing_invariant_closed,
-    shearing_invariant_generic,
     tau_index_tuples,
-    triangle_invariant_closed,
-    triangle_invariant_generic,
 )
 from .flags import (
     DegenerateFlagsError,
     Flag,
-    double_ratio_exp,
+    double_ratios_exp,
     flags_equal,
     is_generic,
-    triple_ratio_exp,
+    triple_ratios_exp,
     wedge_det,
 )
 from .pants import (

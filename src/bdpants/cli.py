@@ -262,7 +262,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_coords.add_argument("--format", choices=("json", "csv"), default="json")
     p_coords.add_argument("--out", help="output file (default stdout)")
-    p_coords.set_defaults(func=cmd_coords)
 
     p_verify = sub.add_parser("verify", help="run the randomized identity sweep")
     p_verify.add_argument("--samples", type=int, default=25)
@@ -276,7 +275,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "every check is exact either way",
     )
     p_verify.add_argument("--out", help="output file (default stdout)")
-    p_verify.set_defaults(func=cmd_verify)
 
     p_sweep = sub.add_parser("sweep", help="CSV of coordinate logs over a length grid")
     p_sweep.add_argument("--n", type=int, required=True)
@@ -286,8 +284,14 @@ def _build_parser() -> argparse.ArgumentParser:
         help="axis specs name:start:stop:steps for lA, lB, lC, comma-separated",
     )
     p_sweep.add_argument("--out", help="output file (default stdout)")
-    p_sweep.set_defaults(func=cmd_sweep)
     return parser
+
+
+# built once: a parser is a web of reference cycles that only the cyclic
+# collector frees, and parsing leaves it unchanged.  It records only the
+# command's name; `main` picks the handler by that name at call time, so a
+# handler rebound in this module (by a tracer or a test) is the one run.
+_PARSER = _build_parser()
 
 
 def main(argv=None) -> int:
@@ -296,13 +300,13 @@ def main(argv=None) -> int:
     argv = list(argv)
     if argv and argv[0].startswith("-") and argv[0] not in ("-h", "--help", "--version"):
         argv = ["coords"] + argv
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        command = {"coords": cmd_coords, "verify": cmd_verify, "sweep": cmd_sweep}
+        return command[args.command](args)
     except ArithmeticError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

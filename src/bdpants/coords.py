@@ -7,17 +7,18 @@ ideal triangle and index triple p, q, r >= 1 with p + q + r = n (the log
 of a triple ratio).  Everything here is kept exponentiated; logs appear
 only in output layers.
 
-Two independent evaluation paths are implemented:
+Two independent evaluation paths feed the same triple- and double-ratio
+formulas of `bdpants.flags` and differ only in their factors:
 
   * the generic path builds the boundary flags of the representation
-    and evaluates the ratio definitions by wedge determinants;
-  * the closed-form path evaluates explicit formulas in the parameters
-    (alpha, beta, gamma): bordered and Toeplitz matrices of binomial
-    coefficients, fed to the same determinant kernel without any
-    hand simplification.  Each factor is computed once per call: per
-    leaf for the shearing invariants, per triangle for the triangle
-    invariants, the same sharing the generic path gets from the
-    batched ratio functions of `bdpants.flags`.
+    and takes the factors as wedge determinants of flag prefixes;
+  * the closed-form path takes them from explicit formulas in the
+    parameters (alpha, beta, gamma): bordered and Toeplitz matrices of
+    binomial coefficients, fed to the same determinant kernel without
+    any hand simplification.
+
+The formulas evaluate each factor once per call: per leaf for the
+shearing invariants, per triangle for the triangle invariants.
 
 All arithmetic is over the rationals, so the two paths must agree to
 the last bit; the verification suite and the tests enforce exactly
@@ -30,10 +31,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import partial
 
 from . import linalg
-from .flags import DegenerateFlagsError, _check_pqr, double_ratios_exp, triple_ratios_exp
+from .flags import _double_ratios, _triple_ratios, double_ratios_exp, triple_ratios_exp
 from .pants import (
     BOUNDARY_LEAVES,
     LEAVES,
@@ -66,42 +67,10 @@ def tau_index_tuples(n: int):
     return [(p, q, n - p - q) for p in range(1, n - 1) for q in range(1, n - p)]
 
 
-def _check_p(n: int, p: int):
-    if not 1 <= p <= n - 1:
-        raise ValueError(f"p out of range: p={p}, n={n}")
-
-
 # ---------------------------------------------------------------------------
-# generic path: flags of the boundary points, ratios by wedge determinants
-
-def _leaf_flags(n: int, params: PantsParams, leaf: str):
-    return [flag_curve(x, n) for x in leaf_quadruple(params, leaf)]
-
-
-def _triangle_flags(n: int, params: PantsParams, triangle: str):
-    return [flag_curve(x, n) for x in triangle_vertices(params, triangle)]
-
-
-def shearing_invariant_generic(n: int, params: PantsParams, leaf: str, p: int) -> Scalar:
-    """Exponentiated shearing invariant from the flag quadruple of the leaf."""
-    _check_p(n, p)
-    validate_params(params)
-    e, f, g, g2 = _leaf_flags(n, params, leaf)
-    return double_ratios_exp(e, f, g, g2, (p,))[0]
-
-
-def triangle_invariant_generic(
-    n: int, params: PantsParams, triangle: str, p: int, q: int, r: int
-) -> Scalar:
-    """Exponentiated triangle invariant from the vertex flags of the triangle."""
-    _check_pqr(n, p, q, r)
-    validate_params(params)
-    e, f, g = _triangle_flags(n, params, triangle)
-    return triple_ratios_exp(e, f, g, [(p, q, r)])[(p, q, r)]
-
-
-# ---------------------------------------------------------------------------
-# closed-form path: binomial determinants in (alpha, beta, gamma)
+# closed-form factors: binomial determinants in (alpha, beta, gamma).
+# Single factors may be negative (they carry explicit signs); every
+# assembled ratio must come out positive, which assemble_phi checks.
 
 def _y_hab(n: int, params: PantsParams, i: int) -> Scalar:
     bg = params.beta * params.gamma
@@ -165,33 +134,6 @@ _CLOSED_Y = {
 }
 
 
-def shearing_invariant_closed(n: int, params: PantsParams, leaf: str, p: int) -> Scalar:
-    """Exponentiated shearing invariant from the closed-form Y values:
-    -(Y(p)/Y'(p)) * (Y'(p-1)/Y(p-1))."""
-    _check_p(n, p)
-    validate_params(params)
-    return _shearing_closed(n, params, leaf, (p,))[0]
-
-
-def _shearing_closed(n: int, params: PantsParams, leaf: str, ps):
-    """Closed-form shearing invariants of one leaf for several p,
-    evaluating each Y and Y' value once."""
-    try:
-        y, yprime = _CLOSED_Y[leaf]
-    except KeyError:
-        raise ValueError(f"unknown leaf {leaf!r}") from None
-    needed = sorted({i for p in ps for i in (p, p - 1)})
-    yv = {i: y(n, params, i) for i in needed}
-    y2 = {i: yprime(n, params, i) for i in needed}
-    out = []
-    for p in ps:
-        den = y2[p] * yv[p - 1]
-        if den == 0:
-            raise DegenerateFlagsError("degenerate flags")
-        out.append(Fraction(-(yv[p] * y2[p - 1]), den))
-    return out
-
-
 def _x_t0(n: int, params: PantsParams, a: int, b: int, c: int) -> Scalar:
     """Toeplitz binomial determinant for the triangle with vertices
     (inf, 1, 0); independent of the parameters."""
@@ -218,46 +160,6 @@ def _x_t1(n: int, params: PantsParams, a: int, b: int, c: int) -> Scalar:
 
 
 _CLOSED_X = {"T0": _x_t0, "T1": _x_t1}
-
-
-def triangle_invariant_closed(
-    n: int, params: PantsParams, triangle: str, p: int, q: int, r: int
-) -> Scalar:
-    """Exponentiated triangle invariant assembled from the closed-form X
-    factors.  Individual factors may be negative (they carry explicit
-    signs); the assembled ratio must be positive."""
-    validate_params(params)
-    return _triangle_closed(n, params, triangle, [(p, q, r)])[(p, q, r)]
-
-
-def _triangle_closed(n: int, params: PantsParams, triangle: str, triples) -> dict:
-    """Closed-form triangle invariants of one triangle for many (p,q,r),
-    evaluating each X factor once."""
-    try:
-        x_of = _CLOSED_X[triangle]
-    except KeyError:
-        raise ValueError(f"unknown triangle {triangle!r}") from None
-    cache: dict = {}
-
-    def x(a, b, c):
-        key = (a, b, c)
-        if key not in cache:
-            cache[key] = x_of(n, params, a, b, c)
-        return cache[key]
-
-    out = {}
-    for (p, q, r) in triples:
-        _check_pqr(n, p, q, r)
-        den = x(p - 1, q, r + 1) * x(p, q + 1, r - 1) * x(p + 1, q - 1, r)
-        if den == 0:
-            raise DegenerateFlagsError("degenerate flags")
-        value = Fraction(x(p + 1, q, r - 1) * x(p, q - 1, r + 1) * x(p - 1, q + 1, r), den)
-        if not value > 0:
-            raise PositivityViolationError(
-                f"positivity violation: tau[{triangle}]({p},{q},{r}) = {value}"
-            )
-        out[(p, q, r)] = value
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -303,16 +205,19 @@ def assemble_phi(n: int, params: PantsParams, method: str = "closed_form") -> Co
     tau = {}
     if method == "generic":
         for leaf in LEAVES:
-            e, f, g, g2 = _leaf_flags(n, params, leaf)
-            sigma[leaf] = tuple(double_ratios_exp(e, f, g, g2, range(1, n)))
+            flags = [flag_curve(x, n) for x in leaf_quadruple(params, leaf)]
+            sigma[leaf] = tuple(double_ratios_exp(*flags, range(1, n)))
         for tri in TRIANGLES:
-            e, f, g = _triangle_flags(n, params, tri)
-            tau[tri] = triple_ratios_exp(e, f, g, tuples)
+            flags = [flag_curve(x, n) for x in triangle_vertices(params, tri)]
+            tau[tri] = triple_ratios_exp(*flags, tuples)
     elif method == "closed_form":
         for leaf in LEAVES:
-            sigma[leaf] = tuple(_shearing_closed(n, params, leaf, range(1, n)))
+            y, yprime = _CLOSED_Y[leaf]
+            sigma[leaf] = tuple(
+                _double_ratios(partial(y, n, params), partial(yprime, n, params), n, range(1, n))
+            )
         for tri in TRIANGLES:
-            tau[tri] = _triangle_closed(n, params, tri, tuples)
+            tau[tri] = _triple_ratios(partial(_CLOSED_X[tri], n, params), n, tuples)
     else:
         raise ValueError(f"unknown method {method!r}")
     coords = CoordinateVector(n=n, sigma=sigma, tau=tau)
@@ -337,7 +242,8 @@ def boundary_sum_R(coords: CoordinateVector, boundary: str, p: int) -> Scalar:
     suite checks that identity exactly.
     """
     n = coords.n
-    _check_p(n, p)
+    if not 1 <= p <= n - 1:
+        raise ValueError(f"p out of range: p={p}, n={n}")
     try:
         leaves = BOUNDARY_LEAVES[boundary]
     except KeyError:

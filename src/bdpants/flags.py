@@ -14,17 +14,24 @@ by one invertible matrix, leaves them unchanged.  They are returned
 *exponentiated* (the conventional invariant is their log) so
 independently computed values can be compared exactly.
 
+Each ratio formula is written once, over factor functions: X(a, b, c)
+for the triple ratio, Y(i) and Y'(i) for the double ratio.  The
+`*_ratios_exp` functions pass wedge determinants of flag prefixes;
+`bdpants.coords` passes its closed-form binomial determinants to the
+same formulas.
+
 Genericity of a flag tuple means every dimension-compatible choice of
 prefixes spans: for each way of writing n = n_1 + ... + n_k with
 n_i >= 0, the first n_1 vectors of the first flag, the first n_2 of the
 second, and so on, are linearly independent.  The ratio operations do
-not run this full sweep; they only check the determinants they actually
-divide by, which both is cheaper and pins the failure to the offending
-factor.
+not run this full sweep; they only check the products they actually
+divide by, which is cheaper.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+from functools import cache, partial
 from itertools import combinations
 
 from . import linalg
@@ -85,9 +92,9 @@ def wedge_det(vectors) -> Scalar:
     return linalg.det(vectors)
 
 
-def apply_matrix(m, flag: Flag, check: bool = False) -> Flag:
+def apply_matrix(m, flag: Flag) -> Flag:
     """Image flag under an invertible matrix (basis mapped vector-wise)."""
-    return Flag([linalg.mat_vec(m, list(v)) for v in flag.basis], check=check)
+    return Flag([linalg.mat_vec(m, list(v)) for v in flag.basis], check=False)
 
 
 def flags_equal(f: Flag, g: Flag) -> bool:
@@ -138,72 +145,63 @@ def _x_factor(e: Flag, f: Flag, g: Flag, a: int, b: int, c: int) -> Scalar:
     return wedge_det(list(e.prefix(a)) + list(f.prefix(b)) + list(g.prefix(c)))
 
 
-def _check_pqr(n: int, p: int, q: int, r: int):
-    if p < 1 or q < 1 or r < 1 or p + q + r != n:
-        raise ValueError(f"invalid index triple ({p},{q},{r}) for n={n}")
-
-
-def triple_ratio_exp(e: Flag, f: Flag, g: Flag, p: int, q: int, r: int) -> Scalar:
-    """The (p,q,r)-th triple ratio of a generic flag triple:
+def _triple_ratios(x, n: int, triples) -> dict:
+    """The (p,q,r)-th triple ratios for rank n,
 
         X(p+1,q,r-1)   X(p,q-1,r+1)   X(p-1,q+1,r)
         ------------ * ------------ * ------------
         X(p-1,q,r+1)   X(p,q+1,r-1)   X(p+1,q-1,r)
 
-    where X(a,b,c) wedges the a-, b- and c-prefixes of the three flags.
+    with X given by the factor function x(a, b, c), which is called
+    once per distinct (a, b, c).
     """
-    return triple_ratios_exp(e, f, g, [(p, q, r)])[(p, q, r)]
-
-
-def triple_ratios_exp(e: Flag, f: Flag, g: Flag, triples) -> dict:
-    """Triple ratios for many (p,q,r) at once, sharing wedge factors."""
-    n = e.dim
-    cache: dict = {}
-
-    def x(a, b, c):
-        key = (a, b, c)
-        if key not in cache:
-            cache[key] = _x_factor(e, f, g, a, b, c)
-        return cache[key]
-
+    X = cache(x)
     out = {}
     for (p, q, r) in triples:
-        _check_pqr(n, p, q, r)
-        den = (x(p - 1, q, r + 1), x(p, q + 1, r - 1), x(p + 1, q - 1, r))
-        if any(d == 0 for d in den):
+        if p < 1 or q < 1 or r < 1 or p + q + r != n:
+            raise ValueError(f"invalid index triple ({p},{q},{r}) for n={n}")
+        den = X(p - 1, q, r + 1) * X(p, q + 1, r - 1) * X(p + 1, q - 1, r)
+        if den == 0:
             raise DegenerateFlagsError("degenerate flags")
-        num = x(p + 1, q, r - 1) * x(p, q - 1, r + 1) * x(p - 1, q + 1, r)
-        out[(p, q, r)] = num / (den[0] * den[1] * den[2])
+        num = X(p + 1, q, r - 1) * X(p, q - 1, r + 1) * X(p - 1, q + 1, r)
+        out[(p, q, r)] = Fraction(num, den)
     return out
 
 
-def double_ratio_exp(e: Flag, f: Flag, g: Flag, g2: Flag, p: int) -> Scalar:
-    """The p-th double ratio of a generic flag quadruple:
+def _double_ratios(y, yprime, n: int, ps) -> list:
+    """The p-th double ratios for rank n,
 
-        D_p = - (Y(p) / Y'(p)) * (Y'(p-1) / Y(p-1))
+        D_p = - (Y(p) / Y'(p)) * (Y'(p-1) / Y(p-1)),
 
-    with Y(i) wedging the i-prefix of the first flag, the
-    (n-i-1)-prefix of the second and the line of the third, and Y'(i)
-    the same with the fourth flag's line.
+    with Y and Y' given by the factor functions y(i) and yprime(i),
+    each called once per distinct i.
     """
-    values = double_ratios_exp(e, f, g, g2, (p,))
-    return values[0]
-
-
-def double_ratios_exp(e: Flag, f: Flag, g: Flag, g2: Flag, ps=None):
-    """Double ratios for several p at once, sharing the Y determinants."""
-    n = e.dim
-    if ps is None:
-        ps = range(1, n)
     ps = list(ps)
     if any(p < 1 or p > n - 1 for p in ps):
         raise ValueError("p out of range")
     needed = sorted({i for p in ps for i in (p, p - 1)})
-    y = {i: _x_factor(e, f, g, i, n - i - 1, 1) for i in needed}
-    y2 = {i: _x_factor(e, f, g2, i, n - i - 1, 1) for i in needed}
+    yv = {i: y(i) for i in needed}
+    y2 = {i: yprime(i) for i in needed}
     out = []
     for p in ps:
-        if y2[p] == 0 or y[p - 1] == 0:
+        den = y2[p] * yv[p - 1]
+        if den == 0:
             raise DegenerateFlagsError("degenerate flags")
-        out.append(-(y[p] * y2[p - 1]) / (y2[p] * y[p - 1]))
+        out.append(Fraction(-(yv[p] * y2[p - 1]), den))
     return out
+
+
+def triple_ratios_exp(e: Flag, f: Flag, g: Flag, triples) -> dict:
+    """Triple ratios of a generic flag triple for many (p,q,r) at once:
+    X(a,b,c) wedges the a-, b- and c-prefixes of the three flags."""
+    return _triple_ratios(partial(_x_factor, e, f, g), e.dim, triples)
+
+
+def double_ratios_exp(e: Flag, f: Flag, g: Flag, g2: Flag, ps) -> list:
+    """Double ratios of a generic flag quadruple for several p at once:
+    Y(i) wedges the i-prefix of the first flag, the (n-i-1)-prefix of
+    the second and the line of the third, and Y'(i) the same with the
+    fourth flag's line."""
+    n = e.dim
+    return _double_ratios(lambda i: _x_factor(e, f, g, i, n - i - 1, 1),
+                          lambda i: _x_factor(e, f, g2, i, n - i - 1, 1), n, ps)

@@ -1,11 +1,12 @@
-"""Dense exact linear algebra kernels.
+"""Dense exact linear algebra: one integer elimination behind det and rank.
 
 Determinants carry the whole computation: every projective invariant in
 this package is an alternating product of n-by-n determinants.  Entries
-are ints or Fractions.  The determinant clears each row's denominators,
-runs fraction-free Bareiss elimination over Python ints (every
-intermediate entry is a minor of the scaled matrix, so each division is
-exact) and divides by the row scales once at the end.  Matrices are
+are ints or Fractions.  Both `det` and `rank` clear each row's
+denominators and run the same fraction-free Bareiss elimination over
+Python ints (every intermediate entry is a minor of the scaled matrix,
+so each division is exact), skipping columns that have no pivot.  The
+determinant divides by the row scales once at the end.  Matrices are
 lists of row lists and sizes stay at desk scale.
 """
 
@@ -15,14 +16,9 @@ import math
 from fractions import Fraction
 
 
-def det(rows) -> Fraction:
-    """Determinant of a square matrix given as a list of rows."""
-    n = len(rows)
-    for row in rows:
-        if len(row) != n:
-            raise ValueError(f"matrix is not square: {n} rows, row of length {len(row)}")
-    if n == 0:
-        return Fraction(1)
+def _integer_rows(rows):
+    """Each row times the LCM of its denominators, as ints, and the
+    product of those LCMs."""
     scale = 1
     m = []
     for row in rows:
@@ -32,66 +28,60 @@ def det(rows) -> Fraction:
         d = math.lcm(*[x.denominator for x in row])
         scale *= d
         m.append([x.numerator * (d // x.denominator) for x in row])
+    return m, scale
+
+
+def _eliminate(m, ncols: int):
+    """Bareiss elimination of the integer rows m in place, skipping
+    columns with no pivot at or below the current row.
+
+    Returns the rank and the last pivot times the sign of the row
+    swaps, which for a nonsingular square matrix is its determinant.
+    """
+    nrows = len(m)
     sign = 1
     prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
+    r = 0
+    for col in range(ncols):
+        if r == nrows:
+            break
+        if m[r][col] == 0:
+            for i in range(r + 1, nrows):
+                if m[i][col] != 0:
+                    m[r], m[i] = m[i], m[r]
                     sign = -sign
                     break
             else:
-                return Fraction(0)
-        row_k = m[k]
-        pivot = row_k[k]
-        for i in range(k + 1, n):
+                continue
+        row_r = m[r]
+        pivot = row_r[col]
+        for i in range(r + 1, nrows):
             row_i = m[i]
-            mik = row_i[k]
-            for j in range(k + 1, n):
-                row_i[j] = (row_i[j] * pivot - mik * row_k[j]) // prev
+            mic = row_i[col]
+            for j in range(col + 1, ncols):
+                row_i[j] = (row_i[j] * pivot - mic * row_r[j]) // prev
         prev = pivot
-    return Fraction(sign * m[n - 1][n - 1], scale)
+        r += 1
+    return r, sign * prev
+
+
+def det(rows) -> Fraction:
+    """Determinant of a square matrix given as a list of rows."""
+    n = len(rows)
+    for row in rows:
+        if len(row) != n:
+            raise ValueError(f"matrix is not square: {n} rows, row of length {len(row)}")
+    m, scale = _integer_rows(rows)
+    r, minor = _eliminate(m, n)
+    return Fraction(minor if r == n else 0, scale)
 
 
 def rank(rows) -> int:
     """Exact rank of a (possibly rectangular) matrix of rows."""
     if not rows:
         return 0
-    m = [[Fraction(x) for x in row] for row in rows]
-    nrows = len(m)
-    ncols = len(m[0])
-    r = 0
-    for col in range(ncols):
-        if r == nrows:
-            break
-        for piv in range(r, nrows):
-            if m[piv][col] != 0:
-                break
-        else:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        pivot = m[r][col]
-        for i in range(r + 1, nrows):
-            f = m[i][col] / pivot
-            if f == 0:
-                continue
-            for j in range(col, ncols):
-                m[i][j] -= f * m[r][j]
-        r += 1
-    return r
-
-
-def mat_mul(a, b):
-    """Product of two matrices (lists of rows)."""
-    inner = len(b)
-    if any(len(row) != inner for row in a):
-        raise ValueError("incompatible shapes")
-    ncols = len(b[0])
-    return [
-        [sum(row[k] * b[k][j] for k in range(inner)) for j in range(ncols)]
-        for row in a
-    ]
+    m, _ = _integer_rows(rows)
+    return _eliminate(m, len(m[0]))[0]
 
 
 def mat_vec(a, v):

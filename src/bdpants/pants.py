@@ -124,6 +124,10 @@ def params_from_lengths(lengths: PantsLengths) -> PantsParams:
         raise DomainError(f"boundary length lB = {lB} is too large: e^(-lB/2) rounds to 0")
     params = PantsParams(alpha, beta, gamma)
     validate_params(params)
+    if not params.alpha * params.beta > 1:
+        raise DomainError(
+            f"boundary length lC = {lC} is too small: alpha*beta = e^(lC/2) rounds to at most 1"
+        )
     return params
 
 

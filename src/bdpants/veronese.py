@@ -116,10 +116,3 @@ def eigen_lengths(m: SL2Mat, n: int):
     lam = top_eigenvalue(m)
     ratio = lam * lam
     return [ratio] * (n - 1)
-
-
-def sym_eigenvalues(m: SL2Mat, n: int):
-    """Eigenvalues lam^{n-1}, lam^{n-3}, ..., lam^{1-n} of the symmetric
-    power of a hyperbolic element, in decreasing order."""
-    lam = top_eigenvalue(m)
-    return [lam ** (n - 1 - 2 * k) for k in range(n)]

@@ -5,6 +5,7 @@ from itertools import permutations
 import pytest
 
 from bdpants import PantsParams
+from bdpants.veronese import top_eigenvalue
 
 
 @pytest.fixture
@@ -38,3 +39,22 @@ def leibniz_det(rows):
             term = term * rows[i][perm[i]]
         total = total + term
     return total
+
+
+def mat_mul(a, b):
+    """Product of two matrices (lists of rows)."""
+    inner = len(b)
+    if any(len(row) != inner for row in a):
+        raise ValueError("incompatible shapes")
+    ncols = len(b[0])
+    return [
+        [sum(row[k] * b[k][j] for k in range(inner)) for j in range(ncols)]
+        for row in a
+    ]
+
+
+def sym_eigenvalues(m, n):
+    """Eigenvalues lam^{n-1}, lam^{n-3}, ..., lam^{1-n} of the symmetric
+    power of a hyperbolic element, in decreasing order."""
+    lam = top_eigenvalue(m)
+    return [lam ** (n - 1 - 2 * k) for k in range(n)]

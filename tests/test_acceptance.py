@@ -15,7 +15,7 @@ from bdpants.coords import (
 from bdpants.flags import (
     apply_matrix,
     flags_equal,
-    triple_ratio_exp,
+    triple_ratios_exp,
 )
 from bdpants.pants import (
     BOUNDARIES,
@@ -190,25 +190,29 @@ def test_criterion_6_structural_relations():
     for _ in range(50):
         n = rng.randint(3, 6)
         e, f, g = random_generic_triple(rng, n)
-        for (p, q, r) in tau_index_tuples(n):
+        tuples = tau_index_tuples(n)
+        t = triple_ratios_exp(e, f, g, tuples)
+        cyclic = triple_ratios_exp(f, g, e, tuples)
+        swapped = triple_ratios_exp(f, e, g, tuples)
+        for (p, q, r) in tuples:
             checked += 2
-            t = triple_ratio_exp(e, f, g, p, q, r)
-            if t != triple_ratio_exp(f, g, e, q, r, p):
+            if t[(p, q, r)] != cyclic[(q, r, p)]:
                 failures.append(("cyclic", n, (p, q, r)))
-            if t * triple_ratio_exp(f, e, g, q, p, r) != 1:
+            if t[(p, q, r)] * swapped[(q, p, r)] != 1:
                 failures.append(("inverse", n, (p, q, r)))
     # rotation, equivariance and stable flags on the pants generators
     for _ in range(5):
         params = random_params(rng)
         rep = build_rep(params)
         for n in range(2, 7):
+            tuples = tau_index_tuples(n)
             for tri in TRIANGLES:
                 e, f, g = [flag_curve(x, n) for x in triangle_vertices(params, tri)]
-                for (p, q, r) in tau_index_tuples(n):
+                t = triple_ratios_exp(e, f, g, tuples)
+                rotated = triple_ratios_exp(f, g, e, tuples)
+                for (p, q, r) in tuples:
                     checked += 1
-                    if triple_ratio_exp(e, f, g, p, q, r) != triple_ratio_exp(
-                        f, g, e, q, r, p
-                    ):
+                    if t[(p, q, r)] != rotated[(q, r, p)]:
                         failures.append(("rotation", n, tri, (p, q, r)))
             points = [
                 ProjPoint.infinity(),

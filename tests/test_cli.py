@@ -1,4 +1,5 @@
 import csv
+import gc
 import io
 import json
 import math
@@ -286,3 +287,24 @@ def test_coords_huge_exp_json_names_entry(capsys):
     )
     assert code == 2
     assert "sigma h_CA p=1" in err and "does not fit in a float" in err
+
+
+def test_coords_lengths_with_alpha_beta_at_most_one_named(capsys):
+    # e^(lA/2) * e^((lC - lA)/2) rounds to just below 1 for a tiny lC
+    code, _, err = run_cli(capsys, ["--n", "3", "--lengths", "2,1,1e-16"])
+    assert code == 2
+    assert "lC = 1e-16" in err
+
+
+def test_calls_leave_no_garbage_cycles(capsys):
+    # JSON output is left out: the standard library's indented encoder
+    # leaves cycles of its own
+    gc.collect()
+    gc.disable()
+    try:
+        assert main(["--n", "3", "--abc", "5/2,2,1/3", "--format", "csv"]) == 0
+        assert main(["sweep", "--n", "3", "--grid", "lA:1:2:2,lB:1:1:1,lC:1:1:1"]) == 0
+        assert main(["verify", "--samples", "1", "--max-n", "3"]) == 0
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -11,13 +11,10 @@ from bdpants.coords import (
     binom_ext,
     boundary_sum_R,
     polytope_check,
-    shearing_invariant_closed,
-    shearing_invariant_generic,
     tau_index_tuples,
-    triangle_invariant_closed,
-    triangle_invariant_generic,
 )
 from bdpants.coords import _x_t1, _y_hbc, _yprime_hbc  # closed-form internals
+from bdpants.flags import double_ratios_exp, triple_ratios_exp
 from bdpants.pants import (
     BOUNDARIES,
     LEAVES,
@@ -25,8 +22,10 @@ from bdpants.pants import (
     PantsParams,
     boundary_matrix,
     build_rep,
+    leaf_quadruple,
+    triangle_vertices,
 )
-from bdpants.veronese import eigen_lengths
+from bdpants.veronese import eigen_lengths, flag_curve
 from bdpants.verify import random_params
 
 F = Fraction
@@ -50,11 +49,11 @@ def test_tau_index_tuples():
 
 
 def test_triangle_invariants_trivial_at_sample(sample_params):
-    assert triangle_invariant_generic(3, sample_params, "T0", 1, 1, 1) == 1
-    assert triangle_invariant_generic(4, sample_params, "T0", 1, 1, 2) == 1
-    assert triangle_invariant_generic(3, sample_params, "T1", 1, 1, 1) == 1
-    assert triangle_invariant_closed(3, sample_params, "T0", 1, 1, 1) == 1
-    assert triangle_invariant_closed(3, sample_params, "T1", 1, 1, 1) == 1
+    for method in ("generic", "closed_form"):
+        for n in (3, 4):
+            tau = assemble_phi(n, sample_params, method).tau
+            for tri in TRIANGLES:
+                assert tau[tri] == {pqr: 1 for pqr in tau_index_tuples(n)}
 
 
 def test_triangle_invariants_trivial_randomized():
@@ -62,22 +61,23 @@ def test_triangle_invariants_trivial_randomized():
     for _ in range(5):
         params = random_params(rng)
         for n in range(3, 7):
+            tau = assemble_phi(n, params, "generic").tau
             for tri in TRIANGLES:
-                for pqr in tau_index_tuples(n):
-                    assert triangle_invariant_generic(n, params, tri, *pqr) == 1
+                assert tau[tri] == {pqr: 1 for pqr in tau_index_tuples(n)}
 
 
 def test_shearing_invariants_at_sample(sample_params):
     # 1/(beta gamma) = beta/gamma = alpha^2 beta gamma = 2 at the sample
-    for leaf in LEAVES:
-        assert shearing_invariant_generic(2, sample_params, leaf, 1) == 2
-        assert shearing_invariant_closed(2, sample_params, leaf, 1) == 2
+    for method in ("generic", "closed_form"):
+        sigma = assemble_phi(2, sample_params, method).sigma
+        for leaf in LEAVES:
+            assert sigma[leaf] == (2,)
 
 
 def test_shearing_closed_p_independent(sample_params):
     for n in (3, 5, 7):
-        for p in range(1, n):
-            assert shearing_invariant_closed(n, sample_params, "h_AB", p) == 2
+        sigma = assemble_phi(n, sample_params, "closed_form").sigma
+        assert sigma["h_AB"] == (2,) * (n - 1)
 
 
 def test_shearing_values_randomized():
@@ -86,10 +86,10 @@ def test_shearing_values_randomized():
         params = random_params(rng)
         al, be, ga = params.alpha, params.beta, params.gamma
         for n in (2, 3, 4):
-            for p in range(1, n):
-                assert shearing_invariant_generic(n, params, "h_AB", p) == 1 / (be * ga)
-                assert shearing_invariant_generic(n, params, "h_BC", p) == be / ga
-                assert shearing_invariant_generic(n, params, "h_CA", p) == al * al * be * ga
+            sigma = assemble_phi(n, params, "generic").sigma
+            assert sigma["h_AB"] == (1 / (be * ga),) * (n - 1)
+            assert sigma["h_BC"] == (be / ga,) * (n - 1)
+            assert sigma["h_CA"] == (al * al * be * ga,) * (n - 1)
 
 
 def test_hbc_closed_form_pieces_n2(sample_params):
@@ -106,19 +106,22 @@ def test_t1_factor_single_entry(sample_params):
     assert _x_t1(3, sample_params, 1, 1, 1) == -1
 
 
+def _leaf_flags(n, params, leaf):
+    return [flag_curve(x, n) for x in leaf_quadruple(params, leaf)]
+
+
 def test_index_validation(sample_params):
+    e, f, g = [flag_curve(x, 3) for x in triangle_vertices(sample_params, "T0")]
     with pytest.raises(ValueError):
-        shearing_invariant_closed(3, sample_params, "h_BC", 3)
+        double_ratios_exp(*_leaf_flags(3, sample_params, "h_BC"), [3])
     with pytest.raises(ValueError):
-        shearing_invariant_closed(3, sample_params, "h_CA", 0)
+        double_ratios_exp(*_leaf_flags(3, sample_params, "h_CA"), [0])
     with pytest.raises(ValueError):
-        triangle_invariant_closed(3, sample_params, "T0", 0, 1, 2)
+        triple_ratios_exp(e, f, g, [(0, 1, 2)])
     with pytest.raises(ValueError):
-        shearing_invariant_generic(4, sample_params, "h_AB", 4)
+        double_ratios_exp(*_leaf_flags(4, sample_params, "h_AB"), [4])
     with pytest.raises(ValueError):
         assemble_phi(1, sample_params)
-    with pytest.raises(ValueError):
-        shearing_invariant_closed(2, sample_params, "nope", 1)
 
 
 def test_oracle_equivalence_small():
@@ -181,19 +184,17 @@ def test_boundary_sums_match_eigen_ratios():
 
 def test_rotation_relation(sample_params):
     # tau_pqr at a vertex equals tau_qrp at the next clockwise vertex
-    from bdpants.flags import triple_ratio_exp
-    from bdpants.pants import triangle_vertices
-    from bdpants.veronese import flag_curve
-
     rng = random.Random(23)
     for params in (sample_params, random_params(rng)):
         for n in (3, 4, 5):
+            tuples = tau_index_tuples(n)
             for tri in TRIANGLES:
                 e, f, g = [flag_curve(x, n) for x in triangle_vertices(params, tri)]
-                for (p, q, r) in tau_index_tuples(n):
-                    t = triple_ratio_exp(e, f, g, p, q, r)
-                    assert t == triple_ratio_exp(f, g, e, q, r, p)
-                    assert t == triple_ratio_exp(g, e, f, r, p, q)
+                t = triple_ratios_exp(e, f, g, tuples)
+                rot1 = triple_ratios_exp(f, g, e, tuples)
+                rot2 = triple_ratios_exp(g, e, f, tuples)
+                for (p, q, r) in tuples:
+                    assert t[(p, q, r)] == rot1[(q, r, p)] == rot2[(r, p, q)]
 
 
 def test_triangle_constancy():
@@ -201,10 +202,8 @@ def test_triangle_constancy():
     for _ in range(4):
         params = random_params(rng)
         for n in (3, 4, 5):
-            for pqr in tau_index_tuples(n):
-                assert triangle_invariant_generic(
-                    n, params, "T0", *pqr
-                ) == triangle_invariant_generic(n, params, "T1", *pqr)
+            tau = assemble_phi(n, params, "generic").tau
+            assert tau["T0"] == tau["T1"]
 
 
 def test_polytope_check_passes(sample_params):

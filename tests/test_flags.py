@@ -1,17 +1,19 @@
 import math
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from bdpants import linalg
+from bdpants.coords import tau_index_tuples
 from bdpants.flags import (
     DegenerateFlagsError,
     Flag,
     apply_matrix,
-    double_ratio_exp,
+    double_ratios_exp,
     flags_equal,
     is_generic,
-    triple_ratio_exp,
+    triple_ratios_exp,
     wedge_det,
 )
 from bdpants.pants import ProjPoint
@@ -103,6 +105,71 @@ def test_determinant_sizes_zero_and_one():
         linalg.det([[1, 2]])
 
 
+def _rank_by_minors(rows):
+    """The largest k with a nonzero k-by-k minor, by Leibniz determinants."""
+    nrows = len(rows)
+    ncols = len(rows[0]) if rows else 0
+    for k in range(min(nrows, ncols), 0, -1):
+        for rs in combinations(range(nrows), k):
+            for cs in combinations(range(ncols), k):
+                if leibniz_det([[rows[i][j] for j in cs] for i in rs]) != 0:
+                    return k
+    return 0
+
+
+def _triangular(rng, n):
+    """Rows of a random lower-triangular matrix with nonzero diagonal:
+    row i mixes the first i + 1 basis vectors of a flag."""
+    return [[F(rng.choice((-3, -2, -1, 1, 2, 3))) if j == i
+             else F(rng.randint(-3, 3)) if j < i else F(0)
+             for j in range(n)] for i in range(n)]
+
+
+def test_rank_of_stacked_flag_prefixes(rng):
+    # the 2i-by-n matrices flags_equal builds, for equal and unequal flags
+    for _ in range(10):
+        n = rng.randint(2, 4)
+        f = _random_flag(rng, n)
+        same = Flag([[sum(c * x for c, x in zip(coeffs, col)) for col in zip(*f.basis)]
+                     for coeffs in _triangular(rng, n)])
+        for g in (f, same, _random_flag(rng, n)):
+            for i in range(1, n):
+                rows = list(f.prefix(i)) + list(g.prefix(i))
+                assert linalg.rank(rows) == _rank_by_minors(rows)
+        assert all(linalg.rank(list(f.prefix(i)) + list(same.prefix(i))) == i
+                   for i in range(1, n))
+
+
+def test_rank_skips_zero_columns_and_empty():
+    # column 0 has no pivot; the elimination must move on to column 1
+    rows = [[0, 1, 2, 3], [0, 2, 4, 7], [0, 3, 6, 10]]
+    assert linalg.rank(rows) == _rank_by_minors(rows) == 2
+    rows = [[F(0), F(1, 2), F(1)], [F(0), F(1), F(2)], [F(0), F(0), F(3)]]
+    assert linalg.rank(rows) == _rank_by_minors(rows) == 2
+    assert linalg.rank([[0, 0], [0, 0]]) == 0
+    assert linalg.rank([]) == 0
+
+
+def test_rank_against_minors(rng):
+    # wide and tall products of nrows-by-k and k-by-ncols factors, so
+    # every rank up to min(nrows, ncols) occurs; entries are fractions,
+    # float-derived dyadic rationals or plain ints
+    entries = (
+        lambda: F(rng.randint(-3, 3), rng.randint(1, 3)),
+        lambda: rng.choice((-1, 1)) * F(math.exp(rng.uniform(-6.0, 2.0))),
+        lambda: rng.randint(-2, 2),
+    )
+    for entry in entries:
+        for _ in range(30):
+            nrows, ncols = rng.randint(1, 5), rng.randint(1, 5)
+            k = rng.randint(0, min(nrows, ncols))
+            left = [[entry() for _ in range(k)] for _ in range(nrows)]
+            right = [[rng.randint(-2, 2) for _ in range(ncols)] for _ in range(k)]
+            rows = [[sum(row[i] * right[i][j] for i in range(k)) for j in range(ncols)]
+                    for row in left]
+            assert linalg.rank(rows) == _rank_by_minors(rows)
+
+
 def test_flag_requires_independent_basis():
     with pytest.raises(ValueError):
         Flag([(F(1), F(2)), (F(2), F(4))])
@@ -128,26 +195,27 @@ def test_triple_ratio_of_curve_triple_is_one():
         flag_curve(x, 3)
         for x in (ProjPoint.infinity(), ProjPoint.of(F(1)), ProjPoint.of(F(0)))
     )
-    assert triple_ratio_exp(e, f, g, 1, 1, 1) == 1
+    assert triple_ratios_exp(e, f, g, tau_index_tuples(3)) == {(1, 1, 1): 1}
 
 
 def test_triple_ratio_symmetries(rng):
     for _ in range(15):
         n = rng.randint(3, 5)
         e, f, g = _random_generic_triple(rng, n)
-        for p in range(1, n - 1):
-            for q in range(1, n - p):
-                r = n - p - q
-                t = triple_ratio_exp(e, f, g, p, q, r)
-                assert t == triple_ratio_exp(f, g, e, q, r, p)
-                assert t * triple_ratio_exp(f, e, g, q, p, r) == 1
+        tuples = tau_index_tuples(n)
+        t = triple_ratios_exp(e, f, g, tuples)
+        cyclic = triple_ratios_exp(f, g, e, tuples)
+        swapped = triple_ratios_exp(f, e, g, tuples)
+        for (p, q, r) in tuples:
+            assert t[(p, q, r)] == cyclic[(q, r, p)]
+            assert t[(p, q, r)] * swapped[(q, p, r)] == 1
 
 
 def test_triple_ratio_degenerate_inputs():
     e = flag_curve(ProjPoint.infinity(), 3)
     g = flag_curve(ProjPoint.of(F(0)), 3)
     with pytest.raises(DegenerateFlagsError, match="degenerate flags"):
-        triple_ratio_exp(e, e, g, 1, 1, 1)
+        triple_ratios_exp(e, e, g, tau_index_tuples(3))
 
 
 def test_triple_ratio_invalid_indices():
@@ -156,9 +224,9 @@ def test_triple_ratio_invalid_indices():
         for x in (ProjPoint.infinity(), ProjPoint.of(F(1)), ProjPoint.of(F(0)))
     )
     with pytest.raises(ValueError):
-        triple_ratio_exp(e, f, g, 0, 1, 2)
+        triple_ratios_exp(e, f, g, [(0, 1, 2)])
     with pytest.raises(ValueError):
-        triple_ratio_exp(e, f, g, 1, 1, 2)
+        triple_ratios_exp(e, f, g, [(1, 1, 2)])
 
 
 def test_double_ratio_example_hca():
@@ -167,7 +235,7 @@ def test_double_ratio_example_hca():
     f = flag_curve(ProjPoint.infinity(), 2)
     g = flag_curve(ProjPoint.of(F(3)), 2)
     g2 = flag_curve(ProjPoint.of(F(0)), 2)
-    assert double_ratio_exp(e, f, g, g2, 1) == 2
+    assert double_ratios_exp(e, f, g, g2, range(1, 2)) == [2]
 
 
 def test_double_ratio_example_hab():
@@ -176,7 +244,7 @@ def test_double_ratio_example_hab():
     f = flag_curve(ProjPoint.of(F(0)), 2)
     g = flag_curve(ProjPoint.of(F(-1, 2)), 2)
     g2 = flag_curve(ProjPoint.of(F(1)), 2)
-    assert double_ratio_exp(e, f, g, g2, 1) == 2
+    assert double_ratios_exp(e, f, g, g2, range(1, 2)) == [2]
 
 
 def test_double_ratio_p_out_of_range():
@@ -184,9 +252,9 @@ def test_double_ratio_p_out_of_range():
         flag_curve(ProjPoint.of(F(x)), 2) for x in (2, 3, 5, 7)
     )
     with pytest.raises(ValueError, match="p out of range"):
-        double_ratio_exp(e, f, g, g2, 0)
+        double_ratios_exp(e, f, g, g2, [0])
     with pytest.raises(ValueError):
-        double_ratio_exp(e, f, g, g2, 2)
+        double_ratios_exp(e, f, g, g2, [2])
 
 
 def _random_flag(rng, n):
@@ -217,14 +285,15 @@ def test_scaling_invariance(rng):
         n = rng.randint(3, 5)
         e, f, g = _random_generic_triple(rng, n)
         quad = _random_generic_quadruple(rng, n)
-        base = triple_ratio_exp(e, f, g, 1, 1, n - 2)
-        dbase = double_ratio_exp(*quad, 1)
+        tuples = tau_index_tuples(n)
+        base = triple_ratios_exp(e, f, g, tuples)
+        dbase = double_ratios_exp(*quad, range(1, n))
         for i in range(1, n + 1):
             s = F(rng.randint(1, 9), rng.randint(1, 9))
-            assert triple_ratio_exp(e.scaled(i, s), f, g, 1, 1, n - 2) == base
-            assert triple_ratio_exp(e, f.scaled(i, -s), g, 1, 1, n - 2) == base
+            assert triple_ratios_exp(e.scaled(i, s), f, g, tuples) == base
+            assert triple_ratios_exp(e, f.scaled(i, -s), g, tuples) == base
         scaled = tuple(q.scaled(rng.randint(1, n), F(3, 7)) for q in quad)
-        assert double_ratio_exp(*scaled, 1) == dbase
+        assert double_ratios_exp(*scaled, range(1, n)) == dbase
 
 
 def test_projective_invariance(rng):
@@ -235,13 +304,13 @@ def test_projective_invariance(rng):
             if linalg.det(m) != 0:
                 break
         e, f, g = _random_generic_triple(rng, n)
-        if n >= 3:
-            assert triple_ratio_exp(
-                apply_matrix(m, e), apply_matrix(m, f), apply_matrix(m, g), 1, 1, n - 2
-            ) == triple_ratio_exp(e, f, g, 1, 1, n - 2)
+        tuples = tau_index_tuples(n)
+        assert triple_ratios_exp(
+            apply_matrix(m, e), apply_matrix(m, f), apply_matrix(m, g), tuples
+        ) == triple_ratios_exp(e, f, g, tuples)
         quad = _random_generic_quadruple(rng, n)
         moved = tuple(apply_matrix(m, q) for q in quad)
-        assert double_ratio_exp(*moved, 1) == double_ratio_exp(*quad, 1)
+        assert double_ratios_exp(*moved, range(1, n)) == double_ratios_exp(*quad, range(1, n))
 
 
 def test_flags_equal_subspacewise():
@@ -251,3 +320,33 @@ def test_flags_equal_subspacewise():
     h = Flag([(F(0), F(1), F(0)), (F(1), F(0), F(0)), (F(0), F(0), F(1))])
     assert flags_equal(f, g)
     assert not flags_equal(f, h)
+
+
+def _wedge(*prefixes):
+    """Leibniz determinant of the stacked prefix bases."""
+    return leibniz_det([list(v) for prefix in prefixes for v in prefix])
+
+
+def test_ratios_match_definition(rng):
+    # one triple ratio and one double ratio at n = 4, straight from the
+    # wedge definitions with the permutation-sum determinant
+    n = 4
+    e, f, g = _random_generic_triple(rng, n)
+    p, q, r = 1, 2, 1
+
+    def x(a, b, c):
+        return _wedge(e.prefix(a), f.prefix(b), g.prefix(c))
+
+    expected = (x(p + 1, q, r - 1) * x(p, q - 1, r + 1) * x(p - 1, q + 1, r)) / (
+        x(p - 1, q, r + 1) * x(p, q + 1, r - 1) * x(p + 1, q - 1, r)
+    )
+    assert triple_ratios_exp(e, f, g, tau_index_tuples(n))[(p, q, r)] == expected
+
+    a, b, c, d = _random_generic_quadruple(rng, n)
+    p = 2
+
+    def y(i, line):
+        return _wedge(a.prefix(i), b.prefix(n - i - 1), line.prefix(1))
+
+    expected = -(y(p, c) / y(p, d)) * (y(p - 1, d) / y(p - 1, c))
+    assert double_ratios_exp(a, b, c, d, range(1, n))[p - 1] == expected
