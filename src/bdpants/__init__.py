@@ -27,7 +27,6 @@ from .flags import (
     flags_equal,
     is_generic,
     triple_ratios_exp,
-    wedge_det,
 )
 from .pants import (
     BOUNDARIES,
@@ -43,6 +42,7 @@ from .pants import (
     boundary_matrix,
     build_rep,
     check_domain,
+    eigenvalues,
     fixed_points,
     leaf_quadruple,
     lengths_from_params,
@@ -51,13 +51,7 @@ from .pants import (
     triangle_vertices,
     validate_params,
 )
-from .scalars import (
-    Scalar,
-    exact_sqrt,
-    log_to_float,
-    parse_scalar,
-    scalar_str,
-)
+from .scalars import exact_sqrt, log_to_float
 from .veronese import eigen_lengths, flag_curve, stable_flag, sym_power
 from .verify import VerifyConfig, all_passed, run_verification
 

@@ -20,9 +20,11 @@ Exit codes: 0 success, 1 verification failure, 2 usage or domain error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import sys
+from fractions import Fraction
 
 from . import __version__
 from .coords import CoordinateVector, assemble_phi, polytope_check, tau_index_tuples
@@ -35,45 +37,51 @@ from .pants import (
     lengths_from_params,
     params_from_lengths,
 )
-from .scalars import as_float, log_to_float, parse_scalar, scalar_str
+from .scalars import log_to_float
 from .verify import CHECK_NAMES, VerifyConfig, all_passed, run_verification
 
 
 def _parse_triple(text: str, what: str):
+    """The three comma-separated values of --abc as exact rationals, or
+    of --lengths as floats; the unicode minus sign is accepted."""
     parts = text.split(",")
     if len(parts) != 3:
         raise DomainError(f"{what} needs three comma-separated values, got {text!r}")
-    return parts
+    exact = what == "--abc"
+    values = []
+    for part in parts:
+        part = part.strip().replace("−", "-")
+        try:
+            values.append(Fraction(part) if exact else float(part))
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ValueError(f"invalid {'exact' if exact else 'float'} scalar {part!r}") from exc
+    return values
 
 
 def _resolve_input(args):
     """(params, lengths, mode) from --abc/--lengths and --mode."""
     if args.abc is not None:
         mode = args.mode or "exact"
-        triple = [parse_scalar(t, exact=True) for t in _parse_triple(args.abc, "--abc")]
-        params = PantsParams(*triple)
+        params = PantsParams(*_parse_triple(args.abc, "--abc"))
         lengths = lengths_from_params(params)
     else:
         mode = args.mode or "float"
         if mode == "exact":
             raise DomainError("lengths input forces float mode (use --abc for exact)")
-        values = [
-            parse_scalar(t, exact=False) for t in _parse_triple(args.lengths, "--lengths")
-        ]
-        lengths = PantsLengths(*values)
+        lengths = PantsLengths(*_parse_triple(args.lengths, "--lengths"))
         params = params_from_lengths(lengths)
     return params, lengths, mode
 
 
 def _exact_out(name: str, value) -> str:
-    return scalar_str(value)
+    return str(value)
 
 
 def _float_out(name: str, value) -> float:
     """A computed value rounded to a float, refused by name when it
     does not fit in one."""
     try:
-        return as_float(value)
+        return float(value)
     except OverflowError:
         raise DomainError(
             f"{name} = e^{log_to_float(value):.6g} does not fit in a float"
@@ -130,23 +138,24 @@ def _csv_row(lengths: PantsLengths, params: PantsParams, coords: CoordinateVecto
     return header, row
 
 
-def _open_out(path):
+@contextlib.contextmanager
+def _output(path):
+    """Standard output, or the file at path, closed on leaving."""
     if path is None:
-        return sys.stdout, False
-    return open(path, "w", newline=""), True
+        yield sys.stdout
+    else:
+        with open(path, "w", newline="") as out:
+            yield out
 
 
 def cmd_coords(args) -> int:
-    if args.n < 2:
-        raise DomainError(f"need n >= 2, got {args.n}")
     params, lengths, mode = _resolve_input(args)
     coords = assemble_phi(args.n, params, method="closed_form")
     if args.format == "json":
         document = _coords_document(params, lengths, mode, coords)
     else:
         header, row = _csv_row(lengths, params, coords)
-    out, close = _open_out(args.out)
-    try:
+    with _output(args.out) as out:
         if args.format == "json":
             json.dump(document, out, indent=2)
             out.write("\n")
@@ -154,24 +163,19 @@ def cmd_coords(args) -> int:
             writer = csv.writer(out)
             writer.writerow(header)
             writer.writerow(row)
-    finally:
-        if close:
-            out.close()
     return 0
 
 
 def cmd_verify(args) -> int:
-    if args.samples < 1 or args.max_n < 2 or args.n_seed < 0:
-        raise DomainError("verify needs --samples >= 1, --max-n >= 2, --seed >= 0")
     config = VerifyConfig(
         samples=args.samples,
         seed=args.n_seed,
         max_n=args.max_n,
-        exact=(args.mode or "exact") == "exact",
+        exact=args.mode == "exact",
     )
     results = run_verification(config)
-    out, close = _open_out(args.out)
-    try:
+    ok = all_passed(results)
+    with _output(args.out) as out:
         for name in CHECK_NAMES:
             r = results[name]
             total = r.passed + r.failed
@@ -179,16 +183,11 @@ def cmd_verify(args) -> int:
             if r.failed:
                 line += f"   FIRST FAILURE: {r.first_failure}"
             out.write(line + "\n")
-        ok = all_passed(results)
-        mode = "exact" if config.exact else "float"
         out.write(
             f"VERIFY {'PASS' if ok else 'FAIL'} "
             f"({len(CHECK_NAMES)} categories, {config.samples} samples, "
-            f"seed {config.seed}, max n {config.max_n}, {mode} mode)\n"
+            f"seed {config.seed}, max n {config.max_n}, {args.mode} mode)\n"
         )
-    finally:
-        if close:
-            out.close()
     return 0 if ok else 1
 
 
@@ -201,6 +200,8 @@ def _parse_grid(text: str):
         name, start, stop, steps = pieces
         if name not in ("lA", "lB", "lC"):
             raise DomainError(f"unknown grid axis {name!r}")
+        if name in axes:
+            raise DomainError(f"grid axis {name!r} is given twice")
         start, stop = float(start), float(stop)
         steps = int(steps)
         if steps < 1:
@@ -219,8 +220,7 @@ def cmd_sweep(args) -> int:
     if args.n < 2:
         raise DomainError(f"need n >= 2, got {args.n}")
     axes = _parse_grid(args.grid)
-    out, close = _open_out(args.out)
-    try:
+    with _output(args.out) as out:
         writer = csv.writer(out)
         header = None
         for la in axes["lA"]:
@@ -234,9 +234,6 @@ def cmd_sweep(args) -> int:
                         header = row_header
                         writer.writerow(header)
                     writer.writerow(row)
-    finally:
-        if close:
-            out.close()
     return 0
 
 

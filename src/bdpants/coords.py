@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import partial
 
 from . import linalg
@@ -44,7 +45,6 @@ from .pants import (
     triangle_vertices,
     validate_params,
 )
-from .scalars import Scalar
 from .veronese import flag_curve
 
 
@@ -72,16 +72,16 @@ def tau_index_tuples(n: int):
 # Single factors may be negative (they carry explicit signs); every
 # assembled ratio must come out positive, which assemble_phi checks.
 
-def _y_hab(n: int, params: PantsParams, i: int) -> Scalar:
+def _y_hab(n: int, params: PantsParams, i: int) -> Fraction:
     bg = params.beta * params.gamma
     return binom_ext(n - 1, i) * bg ** (n - i - 1)
 
 
-def _yprime_hab(n: int, params: PantsParams, i: int) -> Scalar:
+def _yprime_hab(n: int, params: PantsParams, i: int) -> Fraction:
     return (-1) ** (n - i - 1) * binom_ext(n - 1, i)
 
 
-def _y_hbc(n: int, params: PantsParams, i: int) -> Scalar:
+def _y_hbc(n: int, params: PantsParams, i: int) -> Fraction:
     x = params.beta / (params.beta + params.gamma)
     if i == n - 1:
         return (-1) ** (n - 1) * x ** (n - 1)
@@ -94,7 +94,7 @@ def _y_hbc(n: int, params: PantsParams, i: int) -> Scalar:
     return (-1) ** ((n - i) * i) * linalg.det(rows)
 
 
-def _yprime_hbc(n: int, params: PantsParams, i: int) -> Scalar:
+def _yprime_hbc(n: int, params: PantsParams, i: int) -> Fraction:
     if i == n - 1:
         return (-1) ** (n - 1)
     size = n - i - 1
@@ -105,7 +105,7 @@ def _yprime_hbc(n: int, params: PantsParams, i: int) -> Scalar:
     return (-1) ** (n * i + n + 1) * linalg.det(rows)
 
 
-def _y_hca(n: int, params: PantsParams, i: int) -> Scalar:
+def _y_hca(n: int, params: PantsParams, i: int) -> Fraction:
     if i == 0:
         return 1
     w = params.alpha * params.alpha * params.beta * params.gamma + 1
@@ -117,7 +117,7 @@ def _y_hca(n: int, params: PantsParams, i: int) -> Scalar:
     return (-1) ** (n * i) * linalg.det(rows)
 
 
-def _yprime_hca(n: int, params: PantsParams, i: int) -> Scalar:
+def _yprime_hca(n: int, params: PantsParams, i: int) -> Fraction:
     if i == 0:
         return 1
     rows = [
@@ -134,7 +134,7 @@ _CLOSED_Y = {
 }
 
 
-def _x_t0(n: int, params: PantsParams, a: int, b: int, c: int) -> Scalar:
+def _x_t0(n: int, params: PantsParams, a: int, b: int, c: int) -> Fraction:
     """Toeplitz binomial determinant for the triangle with vertices
     (inf, 1, 0); independent of the parameters."""
     if b == 0:
@@ -146,7 +146,7 @@ def _x_t0(n: int, params: PantsParams, a: int, b: int, c: int) -> Scalar:
     return linalg.det(rows)
 
 
-def _x_t1(n: int, params: PantsParams, a: int, b: int, c: int) -> Scalar:
+def _x_t1(n: int, params: PantsParams, a: int, b: int, c: int) -> Fraction:
     """Signed Toeplitz determinant in powers of (-beta*gamma) for the
     triangle with vertices (inf, 0, -beta*gamma)."""
     if c == 0:
@@ -230,7 +230,7 @@ def assemble_phi(n: int, params: PantsParams, method: str = "closed_form") -> Co
 # ---------------------------------------------------------------------------
 # boundary length sums and polytope membership
 
-def boundary_sum_R(coords: CoordinateVector, boundary: str, p: int) -> Scalar:
+def boundary_sum_R(coords: CoordinateVector, boundary: str, p: int) -> Fraction:
     """Exponentiated boundary length sum R_p: the product of the p-th
     shearing values of the two leaves spiraling into the boundary and of
     the tau values with first index p and q + r = n - p over both

@@ -5,7 +5,8 @@ basis (v_1, ..., v_n): the i-dimensional piece is the span of the first
 i vectors.  Coordinates are taken against the fixed monomial basis
 b_1 = X^{n-1}, b_2 = X^{n-2}Y, ..., b_n = Y^{n-1}, and the top wedge
 b_1 ^ ... ^ b_n is identified with 1, so a wedge of n vectors is just
-the determinant of their coordinate matrix.
+the determinant of their coordinate matrix, `linalg.det` of the vectors
+as rows (a matrix and its transpose have the same determinant).
 
 Triple ratios and double ratios are alternating products of such wedge
 determinants over prefix bases of the flags involved.  Both are
@@ -35,7 +36,6 @@ from functools import cache, partial
 from itertools import combinations
 
 from . import linalg
-from .scalars import Scalar
 
 
 class DegenerateFlagsError(ArithmeticError):
@@ -64,32 +64,8 @@ class Flag:
         """The first i basis vectors (a basis of the i-dimensional piece)."""
         return self.basis[:i]
 
-    def scaled(self, i: int, factor: Scalar) -> "Flag":
-        """Copy of the flag with basis vector i (1-based) rescaled."""
-        if factor == 0:
-            raise ValueError("scale factor must be nonzero")
-        new = list(self.basis)
-        new[i - 1] = tuple(factor * x for x in new[i - 1])
-        return Flag(new, check=False)
-
     def __repr__(self):
         return f"Flag({list(self.basis)!r})"
-
-
-def wedge_det(vectors) -> Scalar:
-    """Wedge product of n vectors in R^n under the monomial-basis
-    identification of the top exterior power with the scalars.
-
-    The determinant of the matrix with the vectors as columns equals the
-    determinant of its transpose, so the vectors are used as rows.
-    """
-    vectors = list(vectors)
-    n = len(vectors)
-    if n == 0:
-        raise ValueError("empty wedge")
-    if any(len(v) != n for v in vectors):
-        raise ValueError(f"need {n} vectors of dimension {n}")
-    return linalg.det(vectors)
 
 
 def apply_matrix(m, flag: Flag) -> Flag:
@@ -134,15 +110,15 @@ def is_generic(flags) -> bool:
         vectors = []
         for f, ni in zip(flags, comp):
             vectors.extend(f.prefix(ni))
-        if wedge_det(vectors) == 0:
+        if linalg.det(vectors) == 0:
             return False
     return True
 
 
-def _x_factor(e: Flag, f: Flag, g: Flag, a: int, b: int, c: int) -> Scalar:
+def _x_factor(e: Flag, f: Flag, g: Flag, a: int, b: int, c: int) -> Fraction:
     """Wedge of the a-, b- and c-prefixes of three flags (a + b + c = n).
     A zero index contributes no vectors."""
-    return wedge_det(list(e.prefix(a)) + list(f.prefix(b)) + list(g.prefix(c)))
+    return linalg.det(list(e.prefix(a)) + list(f.prefix(b)) + list(g.prefix(c)))
 
 
 def _triple_ratios(x, n: int, triples) -> dict:

@@ -39,7 +39,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .scalars import Scalar, exact_sqrt, log_to_float
+from .scalars import exact_sqrt, log_to_float
 
 
 class DomainError(ValueError):
@@ -182,10 +182,7 @@ class SL2Mat:
     def __init__(self, a, b, c, d):
         self.a, self.b, self.c, self.d = a, b, c, d
 
-    def det(self) -> Scalar:
-        return self.a * self.d - self.b * self.c
-
-    def trace(self) -> Scalar:
+    def trace(self) -> Fraction:
         return self.a + self.d
 
     def mul(self, other: "SL2Mat") -> "SL2Mat":
@@ -199,9 +196,6 @@ class SL2Mat:
     def inv(self) -> "SL2Mat":
         # determinant one, so the adjugate is the inverse
         return SL2Mat(self.d, -self.b, -self.c, self.a)
-
-    def rows(self):
-        return [[self.a, self.b], [self.c, self.d]]
 
     def __eq__(self, other):
         if not isinstance(other, SL2Mat):
@@ -224,7 +218,7 @@ class ProjPoint:
         self.u, self.v = u, v
 
     @classmethod
-    def of(cls, value: Scalar) -> "ProjPoint":
+    def of(cls, value: Fraction) -> "ProjPoint":
         return cls(value, Fraction(1))
 
     @classmethod
@@ -235,7 +229,7 @@ class ProjPoint:
     def is_infinity(self) -> bool:
         return self.v == 0
 
-    def value(self) -> Scalar:
+    def value(self) -> Fraction:
         if self.v == 0:
             raise ZeroDivisionError("point at infinity has no finite value")
         return self.u / self.v
@@ -256,7 +250,7 @@ def mobius_apply(m: SL2Mat, x: ProjPoint) -> ProjPoint:
     return ProjPoint(m.a * x.u + m.b * x.v, m.c * x.u + m.d * x.v)
 
 
-def _eigenvector(m: SL2Mat, lam: Scalar) -> ProjPoint:
+def _eigenvector(m: SL2Mat, lam: Fraction) -> ProjPoint:
     # kernel of the rank-one matrix (m - lam*I), solved from a nonzero
     # row: the first row vanishes for lower-triangular m and lam = m.a
     if m.b != 0 or m.a != lam:
@@ -264,24 +258,27 @@ def _eigenvector(m: SL2Mat, lam: Scalar) -> ProjPoint:
     return ProjPoint(lam - m.d, m.c)
 
 
-def fixed_points(m: SL2Mat):
-    """(attracting, repelling) fixed points of a hyperbolic element.
-
-    The eigenvalues solve t^2 - tr(m) t + 1 = 0; the attracting point is
-    the eigendirection of the larger-modulus eigenvalue (the derivative
-    of the projective action there has modulus below one).  The trace
-    discriminant must be a perfect rational square.
-    """
+def eigenvalues(m: SL2Mat):
+    """(larger-modulus, smaller-modulus) eigenvalues of a hyperbolic
+    element, the roots of t^2 - tr(m) t + 1 = 0.  The trace
+    discriminant must be a perfect rational square."""
     t = m.trace()
     if not abs(t) > 2:
         raise ValueError(f"matrix is not hyperbolic (|trace| = {abs(t)})")
     s = exact_sqrt(t * t - 4)
     if t > 0:
-        lam_big = (t + s) / 2
-        lam_small = (t - s) / 2
-    else:
-        lam_big = (t - s) / 2
-        lam_small = (t + s) / 2
+        return (t + s) / 2, (t - s) / 2
+    return (t - s) / 2, (t + s) / 2
+
+
+def fixed_points(m: SL2Mat):
+    """(attracting, repelling) fixed points of a hyperbolic element.
+
+    The attracting point is the eigendirection of the larger-modulus
+    eigenvalue (the derivative of the projective action there has
+    modulus below one).
+    """
+    lam_big, lam_small = eigenvalues(m)
     return _eigenvector(m, lam_big), _eigenvector(m, lam_small)
 
 

@@ -73,9 +73,11 @@ class VerifyConfig:
 
     def __post_init__(self):
         if self.samples < 1:
-            raise ValueError("need at least one sample")
+            raise ValueError(f"need at least one sample, got {self.samples}")
         if self.max_n < 2:
-            raise ValueError("need max_n >= 2")
+            raise ValueError(f"need max_n >= 2, got {self.max_n}")
+        if self.seed < 0:
+            raise ValueError(f"need seed >= 0, got {self.seed}")
 
 
 @dataclass

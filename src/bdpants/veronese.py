@@ -25,8 +25,7 @@ import math
 from fractions import Fraction
 
 from .flags import Flag
-from .pants import ProjPoint, SL2Mat, fixed_points
-from .scalars import Scalar, exact_sqrt
+from .pants import ProjPoint, SL2Mat, eigenvalues, fixed_points
 
 
 def _lin_power(s, t, m: int):
@@ -93,17 +92,6 @@ def stable_flag(m: SL2Mat, n: int) -> Flag:
     return Flag(basis)
 
 
-def top_eigenvalue(m: SL2Mat) -> Scalar:
-    """The eigenvalue above 1 of the positive-eigenvalue lift of a
-    hyperbolic element (the trace discriminant must be a perfect
-    rational square)."""
-    t = m.trace()
-    if not abs(t) > 2:
-        raise ValueError(f"matrix is not hyperbolic (|trace| = {abs(t)})")
-    s = exact_sqrt(t * t - 4)
-    return (abs(t) + s) / 2
-
-
 def eigen_lengths(m: SL2Mat, n: int):
     """Exponentiated length spectrum of the symmetric power.
 
@@ -113,6 +101,6 @@ def eigen_lengths(m: SL2Mat, n: int):
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    lam = top_eigenvalue(m)
+    lam, _ = eigenvalues(m)
     ratio = lam * lam
     return [ratio] * (n - 1)

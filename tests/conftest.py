@@ -5,7 +5,8 @@ from itertools import permutations
 import pytest
 
 from bdpants import PantsParams
-from bdpants.veronese import top_eigenvalue
+from bdpants.cli import main
+from bdpants.pants import eigenvalues
 
 
 @pytest.fixture
@@ -17,6 +18,13 @@ def sample_params():
 @pytest.fixture
 def rng():
     return random.Random(20240)
+
+
+def run_cli(capsys, argv):
+    """Exit code, stdout and stderr of one in-process CLI call."""
+    code = main(argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
 
 
 def perm_sign(perm):
@@ -56,5 +64,5 @@ def mat_mul(a, b):
 def sym_eigenvalues(m, n):
     """Eigenvalues lam^{n-1}, lam^{n-3}, ..., lam^{1-n} of the symmetric
     power of a hyperbolic element, in decreasing order."""
-    lam = top_eigenvalue(m)
+    lam = abs(eigenvalues(m)[0])
     return [lam ** (n - 1 - 2 * k) for k in range(n)]

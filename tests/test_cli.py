@@ -8,11 +8,7 @@ import pytest
 
 from bdpants.cli import main
 
-
-def run_cli(capsys, argv):
-    code = main(argv)
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
+from conftest import run_cli
 
 
 def test_coords_json_exact(capsys):
@@ -119,6 +115,15 @@ def test_verify_reports_all_categories(capsys):
         assert name in out
 
 
+@pytest.mark.parametrize(
+    "flag, value", [("--samples", "0"), ("--max-n", "1"), ("--seed", "-1")]
+)
+def test_verify_rejects_out_of_range_arguments(capsys, flag, value):
+    code, out, err = run_cli(capsys, ["verify", flag, value])
+    assert code == 2 and out == ""
+    assert err.startswith("error: need ")
+
+
 def test_verify_float_mode(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -143,7 +148,8 @@ def test_sweep_shape(capsys, tmp_path):
         ],
     )
     assert code == 0
-    rows = list(csv.reader(out_path.open()))
+    with out_path.open(newline="") as f:
+        rows = list(csv.reader(f))
     header, data = rows[0], rows[1:]
     assert len(data) == 27
     coordinate_columns = [h for h in header if h.startswith(("sigma", "tau"))]
@@ -191,6 +197,14 @@ def test_sweep_rejects_bad_grid(capsys):
         capsys, ["sweep", "--n", "3", "--grid", "lA:1:2:0,lB:1:2:1,lC:1:2:1"]
     )
     assert code == 2
+
+
+def test_sweep_rejects_repeated_axis(capsys):
+    code, out, err = run_cli(
+        capsys, ["sweep", "--n", "2", "--grid", "lA:1:1:1,lA:2:2:1,lB:1:1:1,lC:1:1:1"]
+    )
+    assert code == 2 and out == ""
+    assert err == "error: grid axis 'lA' is given twice\n"
 
 
 def test_unwritable_output(capsys, tmp_path):

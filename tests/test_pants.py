@@ -89,7 +89,8 @@ def test_build_rep_sample_matrices(sample_params):
     assert rep.a == SL2Mat(F(2), F(3, 2), F(0), F(1, 2))
     assert rep.b == SL2Mat(F(1, 2), F(0), F(-3), F(2))
     assert rep.c == SL2Mat(F(1), F(-3), F(3, 2), F(-7, 2))
-    assert rep.a.det() == 1 and rep.b.det() == 1 and rep.c.det() == 1
+    for m in (rep.a, rep.b, rep.c):
+        assert m.a * m.d - m.b * m.c == 1
 
 
 def test_group_relation_random():

@@ -1,3 +1,8 @@
+"""Scalars: their text forms at the command line (exact "p/q" and float
+in, canonical text and once-rounded floats out), logs and exact square
+roots."""
+
+import json
 import math
 from fractions import Fraction
 
@@ -5,40 +10,71 @@ import pytest
 
 from bdpants import scalars
 
-
-def test_parse_normalizes():
-    x = scalars.parse_scalar("2/4")
-    assert x == Fraction(1, 2)
-    assert x.numerator == 1 and x.denominator == 2
-    assert scalars.scalar_str(x) == "1/2"
+from conftest import run_cli
 
 
-def test_denominator_one_omitted():
-    assert scalars.scalar_str(Fraction(7)) == "7"
-    assert scalars.scalar_str(Fraction(-3, 2)) == "-3/2"
+def params_echo(capsys, abc):
+    code, out, err = run_cli(capsys, ["coords", "--n", "2", "--abc", abc])
+    assert code == 0, err
+    return json.loads(out)["params"]
 
 
-def test_unicode_minus_accepted():
-    assert scalars.parse_scalar("−3/2") == Fraction(-3, 2)
+def test_parse_normalizes(capsys):
+    # --abc values are read as exact rationals and echoed in lowest terms
+    assert params_echo(capsys, "6/4,4/2,2/4") == {"alpha": "3/2", "beta": "2", "gamma": "1/2"}
 
 
-def test_roundtrip_bit_identical(rng):
-    for _ in range(200):
-        x = Fraction(rng.randint(-10 ** 9, 10 ** 9), rng.randint(1, 10 ** 9))
-        again = scalars.parse_scalar(scalars.scalar_str(x))
-        assert again == x
-        assert (again.numerator, again.denominator) == (x.numerator, x.denominator)
+def test_denominator_one_omitted(capsys):
+    assert params_echo(capsys, "7,3/1,1/2") == {"alpha": "7", "beta": "3", "gamma": "1/2"}
+    code, _, err = run_cli(capsys, ["coords", "--n", "2", "--abc", "2,-3/2,1/2"])
+    assert code == 2 and err == "error: beta must be positive, got -3/2\n"
+    code, _, err = run_cli(capsys, ["coords", "--n", "2", "--abc", "2,-3,1/2"])
+    assert code == 2 and err == "error: beta must be positive, got -3\n"
 
 
-def test_float_format_round_trips(rng):
-    # a float enters as the exact rational it is and comes back unchanged
-    for _ in range(100):
-        x = rng.uniform(-1e6, 1e6) * 2.0 ** rng.randint(-900, 900)
-        parsed = scalars.parse_scalar(repr(x), exact=False)
-        assert parsed == x
-        assert scalars.as_float(Fraction(parsed)) == x
-    with pytest.raises(OverflowError):
-        scalars.as_float(Fraction(10) ** 400)
+def test_unicode_minus_accepted(capsys):
+    code, _, err = run_cli(capsys, ["coords", "--n", "2", "--abc", "2,−3/2,1/2"])
+    assert code == 2 and err == "error: beta must be positive, got -3/2\n"
+    code, _, err = run_cli(capsys, ["coords", "--n", "2", "--lengths", "1,−2.5,1"])
+    assert code == 2
+    assert err == "error: boundary length lB must be positive and finite, got -2.5\n"
+
+
+def test_roundtrip_bit_identical(capsys, rng):
+    # the exact text of each parameter comes back unchanged
+    for _ in range(30):
+        alpha = 1 + Fraction(rng.randint(1, 10 ** 9), rng.randint(1, 10 ** 9))
+        beta = Fraction(rng.randint(10 ** 9, 10 ** 10), rng.randint(1, 10 ** 9))
+        gamma = Fraction(rng.randint(1, 10 ** 9 - 1), 10 ** 9)
+        texts = [str(alpha), str(beta), str(gamma)]
+        echo = params_echo(capsys, ",".join(texts))
+        assert [echo["alpha"], echo["beta"], echo["gamma"]] == texts
+
+
+def test_float_format_round_trips(capsys, rng):
+    # a float length enters as the exact rational it is and comes back
+    # unchanged; each parameter is its exponential, rounded once
+    for _ in range(30):
+        lengths = [rng.uniform(0.01, 1.0) * 2.0 ** rng.randint(-20, 9) for _ in range(3)]
+        lA, lB, lC = lengths
+        code, out, err = run_cli(
+            capsys, ["coords", "--n", "2", "--lengths", ",".join(map(repr, lengths))]
+        )
+        assert code == 0, err
+        doc = json.loads(out)
+        assert doc["lengths"] == {"lA": lA, "lB": lB, "lC": lC}
+        assert doc["params"] == {
+            "alpha": math.exp(lA / 2),
+            "beta": math.exp((lC - lA) / 2),
+            "gamma": math.exp(-lB / 2),
+        }
+    # an exact value beyond the float range is refused by name
+    code, _, err = run_cli(
+        capsys, ["coords", "--n", "2", "--abc", "1e400,1,1/2", "--mode", "float",
+                 "--format", "csv"]
+    )
+    assert code == 2
+    assert err.startswith("error: alpha = e^921") and "does not fit in a float" in err
 
 
 def test_log_values():

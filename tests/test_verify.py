@@ -40,6 +40,8 @@ def test_config_validation():
         VerifyConfig(samples=0)
     with pytest.raises(ValueError):
         VerifyConfig(max_n=1)
+    with pytest.raises(ValueError, match="seed >= 0"):
+        VerifyConfig(seed=-1)
 
 
 def test_check_result_keeps_first_failure():

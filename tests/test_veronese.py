@@ -4,13 +4,12 @@ import pytest
 
 from bdpants import linalg
 from bdpants.flags import apply_matrix, flags_equal
-from bdpants.pants import ProjPoint, SL2Mat, build_rep, fixed_points, mobius_apply
+from bdpants.pants import ProjPoint, SL2Mat, build_rep, eigenvalues, fixed_points, mobius_apply
 from bdpants.veronese import (
     eigen_lengths,
     flag_curve,
     stable_flag,
     sym_power,
-    top_eigenvalue,
 )
 from bdpants.verify import random_params
 
@@ -28,7 +27,7 @@ def _random_sl2(rng):
 
 def test_sym_power_n2_is_identity_map():
     m = SL2Mat(F(3, 2), F(1, 3), F(-2), F(2, 5))
-    assert sym_power(m, 2) == m.rows()
+    assert sym_power(m, 2) == [[m.a, m.b], [m.c, m.d]]
 
 
 def test_sym_power_diagonal_weights():
@@ -140,9 +139,10 @@ def test_eigen_lengths_sample(sample_params):
     assert eigen_lengths(rep.a, 2) == [F(4)]
     assert eigen_lengths(rep.b, 3) == [F(4), F(4)]
     assert eigen_lengths(rep.c, 3) == [F(4), F(4)]
-    assert top_eigenvalue(rep.a) == 2
-    assert top_eigenvalue(rep.b) == 2
-    assert top_eigenvalue(rep.c) == 2
+    # rho(c) has trace -5/2, so its leading eigenvalue is negative
+    assert eigenvalues(rep.a) == (2, F(1, 2))
+    assert eigenvalues(rep.b) == (2, F(1, 2))
+    assert eigenvalues(rep.c) == (-2, F(-1, 2))
 
 
 def test_eigen_lengths_rejects_non_hyperbolic():
