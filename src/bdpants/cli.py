@@ -148,21 +148,24 @@ def _output(path):
             yield out
 
 
+def _write_csv(path, rows) -> None:
+    """The header of the first (header, row) pair, then every row."""
+    with _output(path) as out:
+        writer = csv.writer(out)
+        writer.writerow(rows[0][0])
+        writer.writerows(row for _, row in rows)
+
+
 def cmd_coords(args) -> int:
     params, lengths, mode = _resolve_input(args)
     coords = assemble_phi(args.n, params, method="closed_form")
-    if args.format == "json":
-        document = _coords_document(params, lengths, mode, coords)
-    else:
-        header, row = _csv_row(lengths, params, coords)
+    if args.format == "csv":
+        _write_csv(args.out, [_csv_row(lengths, params, coords)])
+        return 0
+    document = _coords_document(params, lengths, mode, coords)
     with _output(args.out) as out:
-        if args.format == "json":
-            json.dump(document, out, indent=2)
-            out.write("\n")
-        else:
-            writer = csv.writer(out)
-            writer.writerow(header)
-            writer.writerow(row)
+        json.dump(document, out, indent=2)
+        out.write("\n")
     return 0
 
 
@@ -209,7 +212,8 @@ def _parse_grid(text: str):
         if steps == 1:
             axes[name] = [start]
         else:
-            axes[name] = [start + i * (stop - start) / (steps - 1) for i in range(steps)]
+            axes[name] = [start + i * (stop - start) / (steps - 1) for i in range(steps - 1)]
+            axes[name].append(stop)
     missing = [name for name in ("lA", "lB", "lC") if name not in axes]
     if missing:
         raise DomainError(f"grid is missing axes {missing}")
@@ -217,23 +221,18 @@ def _parse_grid(text: str):
 
 
 def cmd_sweep(args) -> int:
-    if args.n < 2:
-        raise DomainError(f"need n >= 2, got {args.n}")
+    """Every row is computed before the output opens, so a refused grid
+    point leaves no partial table."""
     axes = _parse_grid(args.grid)
-    with _output(args.out) as out:
-        writer = csv.writer(out)
-        header = None
-        for la in axes["lA"]:
-            for lb in axes["lB"]:
-                for lc in axes["lC"]:
-                    lengths = PantsLengths(la, lb, lc)
-                    params = params_from_lengths(lengths)
-                    coords = assemble_phi(args.n, params, method="closed_form")
-                    row_header, row = _csv_row(lengths, params, coords)
-                    if header is None:
-                        header = row_header
-                        writer.writerow(header)
-                    writer.writerow(row)
+    rows = []
+    for la in axes["lA"]:
+        for lb in axes["lB"]:
+            for lc in axes["lC"]:
+                lengths = PantsLengths(la, lb, lc)
+                params = params_from_lengths(lengths)
+                coords = assemble_phi(args.n, params, method="closed_form")
+                rows.append(_csv_row(lengths, params, coords))
+    _write_csv(args.out, rows)
     return 0
 
 

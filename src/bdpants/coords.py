@@ -13,9 +13,17 @@ formulas of `bdpants.flags` and differ only in their factors:
   * the generic path builds the boundary flags of the representation
     and takes the factors as wedge determinants of flag prefixes;
   * the closed-form path takes them from explicit formulas in the
-    parameters (alpha, beta, gamma): bordered and Toeplitz matrices of
-    binomial coefficients, fed to the same determinant kernel without
-    any hand simplification.
+    parameters (alpha, beta, gamma): integer determinants of binomial
+    Toeplitz matrices, bordered for the shearing invariants, times
+    explicit monomials.  Two exact steps make every such matrix
+    integral.  Y and Y' are one function of the line (uX + vY)^(n-1)
+    of a point [u : v], taken at the leaf's third and fourth vertex,
+    and each point is passed as the integer pair of its value's
+    numerator and denominator; that scales Y by v^(n-1) for every i, a
+    factor that cancels in every double ratio.  The T1 factor is a
+    Toeplitz determinant with entries weighted by w^(b-r+j),
+    w = -beta*gamma; scaling row r by w^-r and column j by w^j moves
+    the weights out as the monomial w^(bc).
 
 The formulas evaluate each factor once per call: per leaf for the
 shearing invariants, per triangle for the triangle invariants.
@@ -72,91 +80,56 @@ def tau_index_tuples(n: int):
 # Single factors may be negative (they carry explicit signs); every
 # assembled ratio must come out positive, which assemble_phi checks.
 
-def _y_hab(n: int, params: PantsParams, i: int) -> Fraction:
+def _binomials(m: int, shift: int, nrows: int, ncols: int):
+    """The Toeplitz matrix with entries binom_ext(m, shift + r - j)."""
+    return [[binom_ext(m, shift + r - j) for j in range(ncols)] for r in range(nrows)]
+
+
+def _line(n: int, point) -> list:
+    """Coefficients of (uX + vY)^(n-1) for a point [u : v] of integers."""
+    u, v = point
+    return [binom_ext(n - 1, k) * u ** (n - 1 - k) * v ** k for k in range(n)]
+
+
+def _leaf_points(params: PantsParams) -> dict:
+    """The third and fourth vertex of each leaf's quadruple, as integer
+    pairs (u, v) for [u : v]: Y is taken at the third, Y' at the fourth."""
     bg = params.beta * params.gamma
-    return binom_ext(n - 1, i) * bg ** (n - i - 1)
+    return {
+        "h_AB": ((-bg).as_integer_ratio(), (1, 1)),
+        "h_BC": ((params.beta / (params.beta + params.gamma)).as_integer_ratio(), (1, 0)),
+        "h_CA": ((params.alpha * params.alpha * bg + 1).as_integer_ratio(), (0, 1)),
+    }
 
 
-def _yprime_hab(n: int, params: PantsParams, i: int) -> Fraction:
-    return (-1) ** (n - i - 1) * binom_ext(n - 1, i)
+def _y(leaf: str, n: int, line, i: int) -> Fraction:
+    """Y(i) of a leaf at the point with the given line: a signed binomial
+    Toeplitz block bordered by a slice of the line."""
+    sign, m, shift, size, start = {
+        "h_AB": (n - 1 - i, 0, 0, 1, i),
+        "h_BC": ((n - i) * i, i + 1, 0, n - i, 0),
+        "h_CA": (n * i, n - i, n - i - 1, i + 1, n - i - 1),
+    }[leaf]
+    rows = _binomials(m, shift, size, size - 1)
+    for row, entry in zip(rows, line[start:]):
+        row.append(entry)
+    return (-1) ** sign * linalg.det(rows)
 
 
-def _y_hbc(n: int, params: PantsParams, i: int) -> Fraction:
-    x = params.beta / (params.beta + params.gamma)
-    if i == n - 1:
-        return (-1) ** (n - 1) * x ** (n - 1)
-    size = n - i
-    rows = []
-    for r in range(1, size + 1):
-        row = [binom_ext(i + 1, r - j) for j in range(1, size)]
-        row.append(binom_ext(n - 1, r - 1) * x ** (n - r))
-        rows.append(row)
-    return (-1) ** ((n - i) * i) * linalg.det(rows)
-
-
-def _yprime_hbc(n: int, params: PantsParams, i: int) -> Fraction:
-    if i == n - 1:
-        return (-1) ** (n - 1)
-    size = n - i - 1
-    rows = [
-        [binom_ext(i + 1, 1 + r - j) for j in range(1, size + 1)]
-        for r in range(1, size + 1)
-    ]
-    return (-1) ** (n * i + n + 1) * linalg.det(rows)
-
-
-def _y_hca(n: int, params: PantsParams, i: int) -> Fraction:
-    if i == 0:
-        return 1
-    w = params.alpha * params.alpha * params.beta * params.gamma + 1
-    rows = []
-    for r in range(1, i + 2):
-        row = [binom_ext(n - i, n - i - 1 + r - k) for k in range(1, i + 1)]
-        row.append(binom_ext(n - 1, n - i - 2 + r) * w ** (i + 1 - r))
-        rows.append(row)
-    return (-1) ** (n * i) * linalg.det(rows)
-
-
-def _yprime_hca(n: int, params: PantsParams, i: int) -> Fraction:
-    if i == 0:
-        return 1
-    rows = [
-        [binom_ext(n - i, n - i - 1 + r - k) for k in range(1, i + 1)]
-        for r in range(1, i + 1)
-    ]
-    return (-1) ** (n * i) * linalg.det(rows)
-
-
-_CLOSED_Y = {
-    "h_AB": (_y_hab, _yprime_hab),
-    "h_BC": (_y_hbc, _yprime_hbc),
-    "h_CA": (_y_hca, _yprime_hca),
-}
-
-
-def _x_t0(n: int, params: PantsParams, a: int, b: int, c: int) -> Fraction:
+def _x_t0(params: PantsParams, a: int, b: int, c: int) -> Fraction:
     """Toeplitz binomial determinant for the triangle with vertices
     (inf, 1, 0); independent of the parameters."""
-    if b == 0:
-        return 1
-    rows = [
-        [binom_ext(a + c, a + i - j) for j in range(b)]
-        for i in range(b)
-    ]
-    return linalg.det(rows)
+    return linalg.det(_binomials(a + c, a, b, b))
 
 
-def _x_t1(n: int, params: PantsParams, a: int, b: int, c: int) -> Fraction:
-    """Signed Toeplitz determinant in powers of (-beta*gamma) for the
-    triangle with vertices (inf, 0, -beta*gamma)."""
-    if c == 0:
-        return (-1) ** b
-    mbg = -params.beta * params.gamma
-    rows = [
-        [binom_ext(a + b, a + i - j) * mbg ** (b - i + j) for j in range(c)]
-        for i in range(c)
-    ]
-    return (-1) ** (b * (c + 1)) * linalg.det(rows)
+def _x_t1(params: PantsParams, a: int, b: int, c: int) -> Fraction:
+    """Factor for the triangle with vertices (inf, 0, -beta*gamma): the
+    Toeplitz determinant of binom_ext(a+b, a+r-j) * w^(b-r+j), with
+    w = -beta*gamma, signed by (-1)^(b(c+1)).  Scaling row r by w^-r and
+    column j by w^j pulls out w^(bc), leaving the binomial determinant."""
+    return (-1) ** b * (params.beta * params.gamma) ** (b * c) * linalg.det(
+        _binomials(a + b, a, c, c)
+    )
 
 
 _CLOSED_X = {"T0": _x_t0, "T1": _x_t1}
@@ -211,13 +184,12 @@ def assemble_phi(n: int, params: PantsParams, method: str = "closed_form") -> Co
             flags = [flag_curve(x, n) for x in triangle_vertices(params, tri)]
             tau[tri] = triple_ratios_exp(*flags, tuples)
     elif method == "closed_form":
+        points = _leaf_points(params)
         for leaf in LEAVES:
-            y, yprime = _CLOSED_Y[leaf]
-            sigma[leaf] = tuple(
-                _double_ratios(partial(y, n, params), partial(yprime, n, params), n, range(1, n))
-            )
+            y, yprime = (partial(_y, leaf, n, _line(n, point)) for point in points[leaf])
+            sigma[leaf] = tuple(_double_ratios(y, yprime, n, range(1, n)))
         for tri in TRIANGLES:
-            tau[tri] = _triple_ratios(partial(_CLOSED_X[tri], n, params), n, tuples)
+            tau[tri] = _triple_ratios(partial(_CLOSED_X[tri], params), n, tuples)
     else:
         raise ValueError(f"unknown method {method!r}")
     coords = CoordinateVector(n=n, sigma=sigma, tau=tau)

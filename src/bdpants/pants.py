@@ -7,8 +7,9 @@ determined by the boundary lengths (l_A, l_B, l_C).  Writing
 
     alpha = e^{l_A / 2},  beta = e^{(l_C - l_A) / 2},  gamma = e^{-l_B / 2}
 
-(so alpha > 1, beta > 0, 0 < gamma < 1), a normalized representative of
-the holonomy representation of pi_1(P) = <a, b, c | abc = 1> is
+(so alpha > 1, beta > 0, 0 < gamma < 1 and alpha*beta > 1), a
+normalized representative of the holonomy representation of
+pi_1(P) = <a, b, c | abc = 1> is
 
     rho(a) = [ alpha   alpha*beta*gamma + 1/alpha ]
              [   0              1/alpha           ]
@@ -86,7 +87,8 @@ class PantsParams:
 
 
 def validate_params(params: PantsParams) -> None:
-    """Raise DomainError unless alpha > 1, beta > 0, 0 < gamma < 1."""
+    """Raise DomainError unless alpha > 1, beta > 0, 0 < gamma < 1 and
+    alpha*beta > 1."""
     a, b, g = params.alpha, params.beta, params.gamma
     if not a > 1:
         raise DomainError(f"alpha must exceed 1, got {a}")
@@ -94,6 +96,8 @@ def validate_params(params: PantsParams) -> None:
         raise DomainError(f"beta must be positive, got {b}")
     if not 0 < g < 1:
         raise DomainError(f"gamma must lie in (0, 1), got {g}")
+    if not a * b > 1:
+        raise DomainError("alpha*beta must exceed 1 for a positive third boundary length")
 
 
 def _exp(x: float, message: str) -> float:
@@ -123,22 +127,18 @@ def params_from_lengths(lengths: PantsLengths) -> PantsParams:
     if gamma == 0:
         raise DomainError(f"boundary length lB = {lB} is too large: e^(-lB/2) rounds to 0")
     params = PantsParams(alpha, beta, gamma)
-    validate_params(params)
     if not params.alpha * params.beta > 1:
         raise DomainError(
             f"boundary length lC = {lC} is too small: alpha*beta = e^(lC/2) rounds to at most 1"
         )
+    validate_params(params)
     return params
 
 
 def lengths_from_params(params: PantsParams) -> PantsLengths:
     """Boundary lengths l_A = 2 log alpha, l_B = -2 log gamma,
-    l_C = 2 log(alpha beta); requires alpha*beta > 1 so l_C > 0."""
+    l_C = 2 log(alpha beta)."""
     validate_params(params)
-    if not params.alpha * params.beta > 1:
-        raise DomainError(
-            "alpha*beta must exceed 1 for a positive third boundary length"
-        )
     return PantsLengths(
         lA=2 * log_to_float(params.alpha),
         lB=-2 * log_to_float(params.gamma),
@@ -300,14 +300,8 @@ def build_rep(params: PantsParams) -> PantsRep:
     al, be, ga = params.alpha, params.beta, params.gamma
     a = SL2Mat(al, al * be * ga + 1 / al, Fraction(0), 1 / al)
     b = SL2Mat(ga, Fraction(0), -1 / be - 1 / ga, 1 / ga)
-    c = b.inv().mul(a.inv())
-    # |tr(c)| = alpha*beta + 1/(alpha*beta) dips to 2 exactly at
-    # alpha*beta = 1, where the third boundary degenerates
-    if not abs(c.trace()) > 2:
-        raise DomainError(
-            "third boundary is not hyperbolic (alpha*beta = 1 is excluded)"
-        )
-    return PantsRep(a=a, b=b, c=c)
+    # |tr(c)| = alpha*beta + 1/(alpha*beta) > 2, as alpha*beta > 1
+    return PantsRep(a=a, b=b, c=b.inv().mul(a.inv()))
 
 
 def boundary_matrix(rep: PantsRep, boundary: str) -> SL2Mat:

@@ -207,6 +207,37 @@ def test_sweep_rejects_repeated_axis(capsys):
     assert err == "error: grid axis 'lA' is given twice\n"
 
 
+def test_refused_sweep_writes_nothing(capsys, tmp_path):
+    # the second grid point's lC is refused; no file, not a partial table
+    out_path = tmp_path / "x.csv"
+    code, out, err = run_cli(
+        capsys,
+        ["sweep", "--n", "3", "--grid", "lA:1:2:2,lB:1:1:1,lC:1e-16:1e-16:1",
+         "--out", str(out_path)],
+    )
+    assert code == 2 and out == ""
+    assert "lC = 1e-16" in err
+    assert not out_path.exists()
+
+
+def test_sweep_rejects_small_n_with_coords_message(capsys):
+    code, out, err = run_cli(
+        capsys, ["sweep", "--n", "1", "--grid", "lA:1:1:1,lB:1:1:1,lC:1:1:1"]
+    )
+    assert code == 2 and out == ""
+    assert err == "error: need n >= 2, got 1\n"
+
+
+def test_sweep_grid_ends_at_stop(capsys):
+    # 3 + (0.1 - 3) is 0.10000000000000009 in floats
+    code, out, _ = run_cli(
+        capsys, ["sweep", "--n", "2", "--grid", "lA:1:1:1,lB:1:1:1,lC:3:0.1:2"]
+    )
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert [row[2] for row in rows] == ["lC", "3.0", "0.1"]
+
+
 def test_unwritable_output(capsys, tmp_path):
     code, _, err = run_cli(
         capsys,

@@ -1,8 +1,11 @@
 import math
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bdpants.coords import (
     CoordinateVector,
@@ -13,16 +16,19 @@ from bdpants.coords import (
     polytope_check,
     tau_index_tuples,
 )
-from bdpants.coords import _x_t1, _y_hbc, _yprime_hbc  # closed-form internals
+from bdpants.coords import _leaf_points, _line, _x_t1, _y  # closed-form internals
 from bdpants.flags import double_ratios_exp, triple_ratios_exp
 from bdpants.pants import (
     BOUNDARIES,
     LEAVES,
     TRIANGLES,
+    PantsLengths,
     PantsParams,
+    ProjPoint,
     boundary_matrix,
     build_rep,
     leaf_quadruple,
+    params_from_lengths,
     triangle_vertices,
 )
 from bdpants.veronese import eigen_lengths, flag_curve
@@ -93,17 +99,80 @@ def test_shearing_values_randomized():
 
 
 def test_hbc_closed_form_pieces_n2(sample_params):
-    # n = 2: Y(1) = -beta/(beta+gamma), Y'(1) = -1, Y(0) = gamma/(beta+gamma), Y'(0) = -1
+    # n = 2: Y(1) = -beta/(beta+gamma), Y'(1) = -1, Y(0) = gamma/(beta+gamma),
+    # Y'(0) = -1; Y is scaled by v^(n-1) = v for its point [u : v]
     be, ga = sample_params.beta, sample_params.gamma
-    assert _y_hbc(2, sample_params, 1) == -be / (be + ga)
-    assert _yprime_hbc(2, sample_params, 1) == -1
-    assert _y_hbc(2, sample_params, 0) == ga / (be + ga)
-    assert _yprime_hbc(2, sample_params, 0) == -1
+    point, fourth = _leaf_points(sample_params)["h_BC"]
+    v = point[1]
+    y = partial(_y, "h_BC", 2, _line(2, point))
+    yprime = partial(_y, "h_BC", 2, _line(2, fourth))
+    assert y(1) == -be / (be + ga) * v
+    assert yprime(1) == -1
+    assert y(0) == ga / (be + ga) * v
+    assert yprime(0) == -1
 
 
 def test_t1_factor_single_entry(sample_params):
     # the (1,1,1) factor for n = 3 is a single entry with an explicit sign
-    assert _x_t1(3, sample_params, 1, 1, 1) == -1
+    assert _x_t1(sample_params, 1, 1, 1) == -1
+
+
+def _sample_triples():
+    rng = random.Random(41)
+    yield from (random_params(rng) for _ in range(3))
+    for lengths in ((1.3, 0.9, 2.1), (0.5, 3.0, 2.375), (3.0, 0.5, 0.5)):
+        yield params_from_lengths(PantsLengths(*lengths))
+
+
+def test_closed_form_determinants_are_integer(monkeypatch):
+    import bdpants.linalg as linalg_mod
+
+    det = linalg_mod.det
+    seen = []
+
+    def int_det(rows):
+        seen.append(rows)
+        assert all(type(x) is int for row in rows for x in row), rows
+        return det(rows)
+
+    monkeypatch.setattr(linalg_mod, "det", int_det)
+    for params in _sample_triples():
+        for n in range(2, 8):
+            assemble_phi(n, params, "closed_form")
+    assert seen
+
+
+def test_leaf_points_match_quadruple():
+    for params in _sample_triples():
+        points = _leaf_points(params)
+        for leaf in LEAVES:
+            quadruple = leaf_quadruple(params, leaf)
+            for point, vertex in zip(points[leaf], quadruple[2:]):
+                assert all(type(x) is int for x in point)
+                assert ProjPoint(*point) == vertex
+
+
+def _unit():
+    """A rational in (0, 1) with numerator and denominator up to 10^50."""
+    return st.builds(lambda a, b: F(min(a, b), max(a, b) + 1),
+                     st.integers(1, 10**50), st.integers(1, 10**50))
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.integers(2, 6), _unit(), _unit(), _unit(), st.integers(0, 10**50))
+def test_paths_agree_near_domain_edges(n, da, dg, dab, whole):
+    # alpha -> 1+, gamma -> 1-, alpha*beta -> 1+ as the unit draws shrink;
+    # `whole` moves alpha and alpha*beta away from the edges
+    alpha = 1 + whole + da
+    gamma = 1 - dg
+    beta = (1 + whole + dab) / alpha
+    params = PantsParams(alpha, beta, gamma)
+    closed = assemble_phi(n, params, "closed_form")
+    assert closed == assemble_phi(n, params, "generic")
+    shears = {"h_AB": 1 / (beta * gamma), "h_BC": beta / gamma,
+              "h_CA": alpha * alpha * beta * gamma}
+    assert closed.sigma == {leaf: (shears[leaf],) * (n - 1) for leaf in LEAVES}
+    assert closed.tau == {tri: dict.fromkeys(tau_index_tuples(n), 1) for tri in TRIANGLES}
 
 
 def _leaf_flags(n, params, leaf):
@@ -244,12 +313,17 @@ def test_polytope_check_flags_missing_entry(sample_params):
 def test_positivity_guard_trips_on_bad_factor(sample_params, monkeypatch):
     import bdpants.coords as coords_mod
 
-    # a sign slip in a closed-form factor must be caught at assembly
-    monkeypatch.setitem(
-        coords_mod._CLOSED_Y,
-        "h_AB",
-        (lambda n, params, i: F(-1) ** i, coords_mod._yprime_hab),
-    )
+    # a sign slip in a closed-form factor must be caught at assembly:
+    # h_AB's Y taken at beta*gamma in place of -beta*gamma
+    leaf_points = coords_mod._leaf_points
+
+    def slipped(params):
+        points = leaf_points(params)
+        (u, v), fourth = points["h_AB"]
+        points["h_AB"] = ((-u, v), fourth)
+        return points
+
+    monkeypatch.setattr(coords_mod, "_leaf_points", slipped)
     with pytest.raises(PositivityViolationError, match="positivity violation"):
         assemble_phi(3, sample_params, "closed_form")
 

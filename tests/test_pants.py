@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from bdpants.coords import assemble_phi
 from bdpants.pants import (
     BOUNDARY_LEAVES,
     DomainError,
@@ -77,6 +78,18 @@ def test_invalid_params_rejected():
         validate_params(PantsParams(F(2), F(-1), F(1, 2)))
     with pytest.raises(DomainError):
         validate_params(PantsParams(F(2), F(1), F(3, 2)))
+
+
+def test_alpha_beta_at_most_one_refused_everywhere():
+    # alpha, beta, gamma each in range, but alpha*beta = 1/2
+    params = PantsParams(F(2), F(1, 4), F(1, 2))
+    message = "alpha\\*beta must exceed 1 for a positive third boundary length"
+    with pytest.raises(DomainError, match=message):
+        validate_params(params)
+    with pytest.raises(DomainError, match=message):
+        assemble_phi(3, params)
+    with pytest.raises(DomainError, match=message):
+        lengths_from_params(params)
 
 
 def test_build_rep_rejects_parabolic_third_boundary():
