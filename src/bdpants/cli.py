@@ -27,7 +27,7 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .coords import CoordinateVector, assemble_phi, polytope_check, tau_index_tuples
+from .coords import MAX_N, CoordinateVector, assemble_phi, polytope_check, tau_index_tuples
 from .pants import (
     DomainError,
     LEAVES,
@@ -246,7 +246,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_coords = sub.add_parser("coords", help="coordinates of one representation")
-    p_coords.add_argument("--n", type=int, required=True, help="rank parameter, n >= 2")
+    p_coords.add_argument("--n", type=int, required=True,
+                          help=f"rank parameter, 2 <= n <= {MAX_N}")
     group = p_coords.add_mutually_exclusive_group(required=True)
     group.add_argument("--abc", help="alpha,beta,gamma as rationals, e.g. 2,1,1/2")
     group.add_argument("--lengths", help="boundary lengths lA,lB,lC (floats)")

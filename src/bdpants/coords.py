@@ -14,19 +14,20 @@ formulas of `bdpants.flags` and differ only in their factors:
     and takes the factors as wedge determinants of flag prefixes;
   * the closed-form path takes them from explicit formulas in the
     parameters (alpha, beta, gamma): integer determinants of binomial
-    Toeplitz matrices, bordered for the shearing invariants, times
-    explicit monomials.  Two exact steps make every such matrix
-    integral.  Y and Y' are one function of the line (uX + vY)^(n-1)
-    of a point [u : v], taken at the leaf's third and fourth vertex,
-    and each point is passed as the integer pair of its value's
-    numerator and denominator; that scales Y by v^(n-1) for every i, a
-    factor that cancels in every double ratio.  The T1 factor is a
-    Toeplitz determinant with entries weighted by w^(b-r+j),
-    w = -beta*gamma; scaling row r by w^-r and column j by w^j moves
-    the weights out as the monomial w^(bc).
+    Toeplitz matrices, bordered for the shearing invariants.  Each
+    factor is defined only up to what cancels in its ratio.  Y and Y'
+    are one function of the line (uX + vY)^(n-1) of a point [u : v],
+    taken at the leaf's third and fourth vertex, and each point is
+    passed as the integer pair of its value's numerator and
+    denominator; that scales Y by v^(n-1) for every i, and Y(i) and
+    Y'(i) share their sign, so both cancel in every double ratio.  The
+    triangle factor drops a sign and a power of beta*gamma that cancel
+    in every triple ratio; what is left is MacMahon's count of plane
+    partitions in an a x b x c box, symmetric in a, b and c and free
+    of the parameters, so one factor serves both triangles.
 
 The formulas evaluate each factor once per call: per leaf for the
-shearing invariants, per triangle for the triangle invariants.
+shearing invariants, once for both triangles' invariants.
 
 All arithmetic is over the rationals, so the two paths must agree to
 the last bit; the verification suite and the tests enforce exactly
@@ -55,6 +56,10 @@ from .pants import (
 )
 from .veronese import flag_curve
 
+# the largest rank accepted; the index tuples alone grow as n^2 / 2, and
+# the closed form takes seconds at this cap
+MAX_N = 64
+
 
 class PositivityViolationError(ArithmeticError):
     """An assembled invariant came out non-positive; for in-domain
@@ -76,9 +81,9 @@ def tau_index_tuples(n: int):
 
 
 # ---------------------------------------------------------------------------
-# closed-form factors: binomial determinants in (alpha, beta, gamma).
-# Single factors may be negative (they carry explicit signs); every
-# assembled ratio must come out positive, which assemble_phi checks.
+# closed-form factors: integer binomial determinants, each defined only
+# up to what cancels in its ratio, so a single factor may be negative;
+# every assembled ratio must come out positive, which assemble_phi checks.
 
 def _binomials(m: int, shift: int, nrows: int, ncols: int):
     """The Toeplitz matrix with entries binom_ext(m, shift + r - j)."""
@@ -103,36 +108,25 @@ def _leaf_points(params: PantsParams) -> dict:
 
 
 def _y(leaf: str, n: int, line, i: int) -> Fraction:
-    """Y(i) of a leaf at the point with the given line: a signed binomial
-    Toeplitz block bordered by a slice of the line."""
-    sign, m, shift, size, start = {
-        "h_AB": (n - 1 - i, 0, 0, 1, i),
-        "h_BC": ((n - i) * i, i + 1, 0, n - i, 0),
-        "h_CA": (n * i, n - i, n - i - 1, i + 1, n - i - 1),
+    """Y(i) of a leaf at the point with the given line, up to a sign
+    shared with Y'(i): a binomial Toeplitz block bordered by a slice of
+    the line."""
+    m, shift, size, start = {
+        "h_AB": (0, 0, 1, i),
+        "h_BC": (i + 1, 0, n - i, 0),
+        "h_CA": (n - i, n - i - 1, i + 1, n - i - 1),
     }[leaf]
     rows = _binomials(m, shift, size, size - 1)
     for row, entry in zip(rows, line[start:]):
         row.append(entry)
-    return (-1) ** sign * linalg.det(rows)
+    return linalg.det(rows)
 
 
-def _x_t0(params: PantsParams, a: int, b: int, c: int) -> Fraction:
-    """Toeplitz binomial determinant for the triangle with vertices
-    (inf, 1, 0); independent of the parameters."""
+def _x(a: int, b: int, c: int) -> Fraction:
+    """X(a, b, c) of either triangle, up to factors that cancel in every
+    triple ratio: the number of plane partitions in an a x b x c box, as
+    a Toeplitz binomial determinant."""
     return linalg.det(_binomials(a + c, a, b, b))
-
-
-def _x_t1(params: PantsParams, a: int, b: int, c: int) -> Fraction:
-    """Factor for the triangle with vertices (inf, 0, -beta*gamma): the
-    Toeplitz determinant of binom_ext(a+b, a+r-j) * w^(b-r+j), with
-    w = -beta*gamma, signed by (-1)^(b(c+1)).  Scaling row r by w^-r and
-    column j by w^j pulls out w^(bc), leaving the binomial determinant."""
-    return (-1) ** b * (params.beta * params.gamma) ** (b * c) * linalg.det(
-        _binomials(a + b, a, c, c)
-    )
-
-
-_CLOSED_X = {"T0": _x_t0, "T1": _x_t1}
 
 
 # ---------------------------------------------------------------------------
@@ -172,6 +166,8 @@ def assemble_phi(n: int, params: PantsParams, method: str = "closed_form") -> Co
     """Compute all n^2 - 1 coordinates by the chosen path."""
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
+    if n > MAX_N:
+        raise ValueError(f"need n <= {MAX_N}, got {n}")
     validate_params(params)
     tuples = tau_index_tuples(n)
     sigma = {}
@@ -188,8 +184,8 @@ def assemble_phi(n: int, params: PantsParams, method: str = "closed_form") -> Co
         for leaf in LEAVES:
             y, yprime = (partial(_y, leaf, n, _line(n, point)) for point in points[leaf])
             sigma[leaf] = tuple(_double_ratios(y, yprime, n, range(1, n)))
-        for tri in TRIANGLES:
-            tau[tri] = _triple_ratios(partial(_CLOSED_X[tri], params), n, tuples)
+        ratios = _triple_ratios(_x, n, tuples)
+        tau = {tri: dict(ratios) for tri in TRIANGLES}
     else:
         raise ValueError(f"unknown method {method!r}")
     coords = CoordinateVector(n=n, sigma=sigma, tau=tau)

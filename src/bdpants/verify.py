@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .coords import (
+    MAX_N,
     assemble_phi,
     boundary_sum_R,
     tau_index_tuples,
@@ -74,8 +75,8 @@ class VerifyConfig:
     def __post_init__(self):
         if self.samples < 1:
             raise ValueError(f"need at least one sample, got {self.samples}")
-        if self.max_n < 2:
-            raise ValueError(f"need max_n >= 2, got {self.max_n}")
+        if not 2 <= self.max_n <= MAX_N:
+            raise ValueError(f"need 2 <= max_n <= {MAX_N}, got {self.max_n}")
         if self.seed < 0:
             raise ValueError(f"need seed >= 0, got {self.seed}")
 

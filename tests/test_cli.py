@@ -228,6 +228,19 @@ def test_sweep_rejects_small_n_with_coords_message(capsys):
     assert err == "error: need n >= 2, got 1\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["coords", "--n", "65", "--abc", "2,1,1/2"],
+    ["coords", "--n", "1000000000", "--abc", "2,1,1/2"],
+    ["sweep", "--n", "65", "--grid", "lA:1:1:1,lB:1:1:1,lC:1:1:1"],
+    ["sweep", "--n", "1000000000", "--grid", "lA:1:1:1,lB:1:1:1,lC:1:1:1"],
+    ["verify", "--max-n", "65"],
+])
+def test_rank_above_cap_is_refused(capsys, argv):
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2 and out == ""
+    assert "<= 64, got" in err
+
+
 def test_sweep_grid_ends_at_stop(capsys):
     # 3 + (0.1 - 3) is 0.10000000000000009 in floats
     code, out, _ = run_cli(

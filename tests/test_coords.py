@@ -2,11 +2,13 @@ import math
 import random
 from fractions import Fraction
 from functools import partial
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bdpants import linalg
 from bdpants.coords import (
     CoordinateVector,
     PositivityViolationError,
@@ -16,7 +18,7 @@ from bdpants.coords import (
     polytope_check,
     tau_index_tuples,
 )
-from bdpants.coords import _leaf_points, _line, _x_t1, _y  # closed-form internals
+from bdpants.coords import _binomials, _leaf_points, _line, _x, _y  # closed-form internals
 from bdpants.flags import double_ratios_exp, triple_ratios_exp
 from bdpants.pants import (
     BOUNDARIES,
@@ -99,22 +101,39 @@ def test_shearing_values_randomized():
 
 
 def test_hbc_closed_form_pieces_n2(sample_params):
-    # n = 2: Y(1) = -beta/(beta+gamma), Y'(1) = -1, Y(0) = gamma/(beta+gamma),
-    # Y'(0) = -1; Y is scaled by v^(n-1) = v for its point [u : v]
+    # n = 2: Y(1) = beta/(beta+gamma), Y'(1) = 1, Y(0) = gamma/(beta+gamma),
+    # Y'(0) = -1, each up to the sign Y(i) and Y'(i) share; Y is scaled
+    # by v^(n-1) = v for its point [u : v]
     be, ga = sample_params.beta, sample_params.gamma
     point, fourth = _leaf_points(sample_params)["h_BC"]
     v = point[1]
     y = partial(_y, "h_BC", 2, _line(2, point))
     yprime = partial(_y, "h_BC", 2, _line(2, fourth))
-    assert y(1) == -be / (be + ga) * v
-    assert yprime(1) == -1
+    assert y(1) == be / (be + ga) * v
+    assert yprime(1) == 1
     assert y(0) == ga / (be + ga) * v
     assert yprime(0) == -1
 
 
-def test_t1_factor_single_entry(sample_params):
-    # the (1,1,1) factor for n = 3 is a single entry with an explicit sign
-    assert _x_t1(sample_params, 1, 1, 1) == -1
+def test_t1_factor_single_entry():
+    # the (1,1,1) factor for n = 3 is a single entry: the two plane
+    # partitions in a 1 x 1 x 1 box
+    assert _x(1, 1, 1) == 2
+
+
+def test_triangle_factor_is_symmetric():
+    # MacMahon's box formula: prod over the box of (i+j+k-1)/(i+j+k-2)
+    for total in range(13):
+        for a in range(total + 1):
+            for b in range(total - a + 1):
+                c = total - a - b
+                boxes = math.prod(F(i + j + k - 1, i + j + k - 2)
+                                  for i in range(1, a + 1)
+                                  for j in range(1, b + 1)
+                                  for k in range(1, c + 1))
+                assert _x(a, b, c) == boxes
+                assert _x(a, b, c) == linalg.det(_binomials(a + b, a, c, c))
+                assert all(_x(*perm) == boxes for perm in permutations((a, b, c)))
 
 
 def _sample_triples():
@@ -159,7 +178,7 @@ def _unit():
 
 
 @settings(deadline=None, max_examples=100)
-@given(st.integers(2, 6), _unit(), _unit(), _unit(), st.integers(0, 10**50))
+@given(st.integers(2, 8), _unit(), _unit(), _unit(), st.integers(0, 10**50))
 def test_paths_agree_near_domain_edges(n, da, dg, dab, whole):
     # alpha -> 1+, gamma -> 1-, alpha*beta -> 1+ as the unit draws shrink;
     # `whole` moves alpha and alpha*beta away from the edges
