@@ -6,7 +6,7 @@ determine a Fuchsian representation; embedding it by the symmetric
 power gives a point of the rank-n Hitchin component, whose
 Bonahon-Dreyer coordinates this package evaluates both from the
 definitions (wedge determinants of boundary flags) and from explicit
-closed-form binomial determinants, checking that the two agree exactly
+closed-form sums and products of binomials, checking that the two agree exactly
 over arbitrary-precision rationals.  Float lengths enter as the exact
 dyadic rationals they are; floats come back out only when printed.
 """
@@ -15,7 +15,6 @@ from .coords import (
     CoordinateVector,
     PositivityViolationError,
     assemble_phi,
-    binom_ext,
     boundary_sum_R,
     polytope_check,
     tau_index_tuples,

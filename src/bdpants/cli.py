@@ -38,7 +38,7 @@ from .pants import (
     params_from_lengths,
 )
 from .scalars import log_to_float
-from .verify import CHECK_NAMES, VerifyConfig, all_passed, run_verification
+from .verify import CHECK_NAMES, VERIFY_MAX_N, VerifyConfig, all_passed, run_verification
 
 
 def _parse_triple(text: str, what: str):
@@ -263,7 +263,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run the randomized identity sweep")
     p_verify.add_argument("--samples", type=int, default=25)
     p_verify.add_argument("--seed", dest="n_seed", type=int, default=42)
-    p_verify.add_argument("--max-n", dest="max_n", type=int, default=5)
+    p_verify.add_argument("--max-n", dest="max_n", type=int, default=5,
+                          help=f"largest rank checked, 2 <= n <= {VERIFY_MAX_N}")
     p_verify.add_argument(
         "--mode",
         choices=("exact", "float"),
@@ -274,7 +275,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--out", help="output file (default stdout)")
 
     p_sweep = sub.add_parser("sweep", help="CSV of coordinate logs over a length grid")
-    p_sweep.add_argument("--n", type=int, required=True)
+    p_sweep.add_argument("--n", type=int, required=True,
+                         help=f"rank parameter, 2 <= n <= {MAX_N}")
     p_sweep.add_argument(
         "--grid",
         required=True,

@@ -13,18 +13,22 @@ formulas of `bdpants.flags` and differ only in their factors:
   * the generic path builds the boundary flags of the representation
     and takes the factors as wedge determinants of flag prefixes;
   * the closed-form path takes them from explicit formulas in the
-    parameters (alpha, beta, gamma): integer determinants of binomial
-    Toeplitz matrices, bordered for the shearing invariants.  Each
-    factor is defined only up to what cancels in its ratio.  Y and Y'
-    are one function of the line (uX + vY)^(n-1) of a point [u : v],
-    taken at the leaf's third and fourth vertex, and each point is
-    passed as the integer pair of its value's numerator and
-    denominator; that scales Y by v^(n-1) for every i, and Y(i) and
-    Y'(i) share their sign, so both cancel in every double ratio.  The
-    triangle factor drops a sign and a power of beta*gamma that cancel
-    in every triple ratio; what is left is MacMahon's count of plane
-    partitions in an a x b x c box, symmetric in a, b and c and free
-    of the parameters, so one factor serves both triangles.
+    parameters (alpha, beta, gamma), sums and products of binomials
+    over the integers, with no determinant.  Each factor is defined
+    only up to what cancels in its ratio.  Y and Y' are one function
+    of the line (uX + vY)^(n-1) of a point [u : v], taken at the
+    leaf's third and fourth vertex, and each point is passed as the
+    integer pair of its value's numerator and denominator; that scales
+    Y by v^(n-1) for every i.  Y(i) is a binomial block bordered by a
+    slice of the line, and such a determinant is the slice paired with
+    the block's left null vector, the coefficients of (1 + t)^(-m),
+    times a factor of (leaf, n, i) that Y(i) and Y'(i) share; both
+    scalings cancel in every double ratio.  The triangle factor drops
+    a sign and a power of beta*gamma that cancel in every triple ratio;
+    what is left is MacMahon's count of plane partitions in an
+    a x b x c box, G(a) G(b) G(c) G(a+b+c) / (G(a+b) G(b+c) G(c+a))
+    with G(k) = 0! 1! ... (k-1)!, symmetric in a, b and c and free of
+    the parameters, so one factor serves both triangles.
 
 The formulas evaluate each factor once per call: per leaf for the
 shearing invariants, once for both triangles' invariants.
@@ -39,11 +43,12 @@ do not depend on p.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import operator
+from collections import namedtuple
 from fractions import Fraction
 from functools import partial
+from itertools import accumulate
 
-from . import linalg
 from .flags import _double_ratios, _triple_ratios, double_ratios_exp, triple_ratios_exp
 from .pants import (
     BOUNDARY_LEAVES,
@@ -57,7 +62,7 @@ from .pants import (
 from .veronese import flag_curve
 
 # the largest rank accepted; the index tuples alone grow as n^2 / 2, and
-# the closed form takes seconds at this cap
+# the closed form takes about 0.25 s at this cap
 MAX_N = 64
 
 
@@ -66,34 +71,20 @@ class PositivityViolationError(ArithmeticError):
     parameters this indicates an implementation fault, not bad input."""
 
 
-def binom_ext(m: int, p: int) -> int:
-    """Binomial coefficient extended by 0 outside 0 <= p <= m."""
-    if m < 0:
-        raise ValueError(f"binom_ext needs m >= 0, got {m}")
-    if p < 0 or p > m:
-        return 0
-    return math.comb(m, p)
-
-
 def tau_index_tuples(n: int):
     """Valid (p, q, r) triples for rank n, in lexicographic order."""
     return [(p, q, n - p - q) for p in range(1, n - 1) for q in range(1, n - p)]
 
 
 # ---------------------------------------------------------------------------
-# closed-form factors: integer binomial determinants, each defined only
+# closed-form factors: sums and products of binomials, each defined only
 # up to what cancels in its ratio, so a single factor may be negative;
 # every assembled ratio must come out positive, which assemble_phi checks.
-
-def _binomials(m: int, shift: int, nrows: int, ncols: int):
-    """The Toeplitz matrix with entries binom_ext(m, shift + r - j)."""
-    return [[binom_ext(m, shift + r - j) for j in range(ncols)] for r in range(nrows)]
-
 
 def _line(n: int, point) -> list:
     """Coefficients of (uX + vY)^(n-1) for a point [u : v] of integers."""
     u, v = point
-    return [binom_ext(n - 1, k) * u ** (n - 1 - k) * v ** k for k in range(n)]
+    return [math.comb(n - 1, k) * u ** (n - 1 - k) * v ** k for k in range(n)]
 
 
 def _leaf_points(params: PantsParams) -> dict:
@@ -107,42 +98,44 @@ def _leaf_points(params: PantsParams) -> dict:
     }
 
 
-def _y(leaf: str, n: int, line, i: int) -> Fraction:
-    """Y(i) of a leaf at the point with the given line, up to a sign
-    shared with Y'(i): a binomial Toeplitz block bordered by a slice of
-    the line."""
-    m, shift, size, start = {
-        "h_AB": (0, 0, 1, i),
-        "h_BC": (i + 1, 0, n - i, 0),
-        "h_CA": (n - i, n - i - 1, i + 1, n - i - 1),
-    }[leaf]
-    rows = _binomials(m, shift, size, size - 1)
-    for row, entry in zip(rows, line[start:]):
-        row.append(entry)
-    return linalg.det(rows)
+def _y(leaf: str, n: int, line, i: int) -> int:
+    """Y(i) of a leaf at the point with the given line, up to a factor
+    of (leaf, n, i) shared with Y'(i).
+
+    Y(i) is the determinant of an s x (s-1) binomial block C(m, r - j)
+    bordered by a slice w of the line, that is, w paired with the
+    block's left null vector, the coefficients of (1 + t)^(-m); the
+    slices here are listed from w[s-1] down to w[0].
+    """
+    if leaf == "h_AB":
+        return line[i]
+    if leaf == "h_BC":
+        m, w = i + 1, line[n - i - 1::-1]
+    else:
+        # the block of h_CA, C(n-i, n-i-1 + r - j), is C(n-i, r - j)
+        # with its rows and columns reversed
+        m, w = n - i, line[n - i - 1:]
+    return sum((-1) ** k * math.comb(m + k - 1, k) * x for k, x in enumerate(w))
 
 
-def _x(a: int, b: int, c: int) -> Fraction:
+def _x(g, a: int, b: int, c: int) -> int:
     """X(a, b, c) of either triangle, up to factors that cancel in every
-    triple ratio: the number of plane partitions in an a x b x c box, as
-    a Toeplitz binomial determinant."""
-    return linalg.det(_binomials(a + c, a, b, b))
+    triple ratio: MacMahon's number of plane partitions in an a x b x c
+    box, given the superfactorials g[k] = 0! 1! ... (k-1)!."""
+    return g[a] * g[b] * g[c] * g[a + b + c] // (g[a + b] * g[b + c] * g[c + a])
 
 
 # ---------------------------------------------------------------------------
 # assembly
 
-@dataclass(frozen=True)
-class CoordinateVector:
+class CoordinateVector(namedtuple("CoordinateVector", "n sigma tau")):
     """The full exponentiated coordinate vector of one representation.
 
     sigma maps each leaf to its values for p = 1, ..., n-1; tau maps
     each triangle to a dict over (p, q, r) triples.
     """
 
-    n: int
-    sigma: dict
-    tau: dict
+    __slots__ = ()
 
     def count(self) -> int:
         return sum(len(v) for v in self.sigma.values()) + sum(
@@ -184,7 +177,8 @@ def assemble_phi(n: int, params: PantsParams, method: str = "closed_form") -> Co
         for leaf in LEAVES:
             y, yprime = (partial(_y, leaf, n, _line(n, point)) for point in points[leaf])
             sigma[leaf] = tuple(_double_ratios(y, yprime, n, range(1, n)))
-        ratios = _triple_ratios(_x, n, tuples)
+        g = list(accumulate(map(math.factorial, range(n)), operator.mul, initial=1))
+        ratios = _triple_ratios(partial(_x, g), n, tuples)
         tau = {tri: dict(ratios) for tri in TRIANGLES}
     else:
         raise ValueError(f"unknown method {method!r}")

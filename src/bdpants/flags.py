@@ -18,8 +18,8 @@ independently computed values can be compared exactly.
 Each ratio formula is written once, over factor functions: X(a, b, c)
 for the triple ratio, Y(i) and Y'(i) for the double ratio.  The
 `*_ratios_exp` functions pass wedge determinants of flag prefixes;
-`bdpants.coords` passes its closed-form binomial determinants to the
-same formulas.
+`bdpants.coords` passes its closed-form binomial sums and products to
+the same formulas.
 
 Genericity of a flag tuple means every dimension-compatible choice of
 prefixes spans: for each way of writing n = n_1 + ... + n_k with

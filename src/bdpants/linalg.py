@@ -1,8 +1,9 @@
 """Dense exact linear algebra: one integer elimination behind det and rank.
 
-Determinants carry the whole computation: every projective invariant in
-this package is an alternating product of n-by-n determinants.  Entries
-are ints or Fractions.  Both `det` and `rank` clear each row's
+Determinants carry the generic path: there every projective invariant
+is an alternating product of n-by-n wedge determinants of flag
+prefixes (the closed form of `bdpants.coords` takes none).  Entries are
+ints or Fractions.  Both `det` and `rank` clear each row's
 denominators and run the same fraction-free Bareiss elimination over
 Python ints (every intermediate entry is a minor of the scaled matrix,
 so each division is exact), skipping columns that have no pivot.  The

@@ -37,7 +37,7 @@ rational it is.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .scalars import exact_sqrt, log_to_float
@@ -50,25 +50,21 @@ class DomainError(ValueError):
 # ---------------------------------------------------------------------------
 # parameters and lengths
 
-@dataclass(frozen=True)
-class PantsLengths:
+class PantsLengths(namedtuple("PantsLengths", "lA lB lC")):
     """Hyperbolic lengths of the three boundary geodesics."""
 
-    lA: float
-    lB: float
-    lC: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in ("lA", "lB", "lC"):
-            value = getattr(self, name)
+    def __new__(cls, lA: float, lB: float, lC: float):
+        for name, value in (("lA", lA), ("lB", lB), ("lC", lC)):
             if not 0 < value < math.inf:
                 raise DomainError(
                     f"boundary length {name} must be positive and finite, got {value}"
                 )
+        return super().__new__(cls, lA, lB, lC)
 
 
-@dataclass(frozen=True)
-class PantsParams:
+class PantsParams(namedtuple("PantsParams", "alpha beta gamma")):
     """The (alpha, beta, gamma) triple; see the module docstring.
 
     Every field is stored as `Fraction(x)` (exact for ints, Fractions
@@ -77,13 +73,10 @@ class PantsParams:
     builds geometry from a triple calls `validate_params` first.
     """
 
-    alpha: Fraction
-    beta: Fraction
-    gamma: Fraction
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in ("alpha", "beta", "gamma"):
-            object.__setattr__(self, name, Fraction(getattr(self, name)))
+    def __new__(cls, alpha, beta, gamma):
+        return super().__new__(cls, Fraction(alpha), Fraction(beta), Fraction(gamma))
 
 
 def validate_params(params: PantsParams) -> None:
@@ -285,13 +278,10 @@ def fixed_points(m: SL2Mat):
 # ---------------------------------------------------------------------------
 # the representation
 
-@dataclass(frozen=True)
-class PantsRep:
+class PantsRep(namedtuple("PantsRep", "a b c")):
     """Images of the generators a, b, c with rho(a) rho(b) rho(c) = 1."""
 
-    a: SL2Mat
-    b: SL2Mat
-    c: SL2Mat
+    __slots__ = ()
 
 
 def build_rep(params: PantsParams) -> PantsRep:

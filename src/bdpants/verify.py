@@ -20,15 +20,10 @@ counterexample retained verbatim.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
-from .coords import (
-    MAX_N,
-    assemble_phi,
-    boundary_sum_R,
-    tau_index_tuples,
-)
+from .coords import assemble_phi, boundary_sum_R, tau_index_tuples
 from .flags import Flag, apply_matrix, flags_equal, is_generic, triple_ratios_exp
 from .pants import (
     BOUNDARIES,
@@ -65,28 +60,30 @@ CHECK_NAMES = (
 )
 
 
-@dataclass(frozen=True)
-class VerifyConfig:
-    samples: int = 25
-    seed: int = 42
-    max_n: int = 5
-    exact: bool = True
-
-    def __post_init__(self):
-        if self.samples < 1:
-            raise ValueError(f"need at least one sample, got {self.samples}")
-        if not 2 <= self.max_n <= MAX_N:
-            raise ValueError(f"need 2 <= max_n <= {MAX_N}, got {self.max_n}")
-        if self.seed < 0:
-            raise ValueError(f"need seed >= 0, got {self.seed}")
+# the largest max_n accepted: verify runs the generic path and the flag
+# checks at every rank up to it, about a minute at 12 and 25 samples
+VERIFY_MAX_N = 12
 
 
-@dataclass
+class VerifyConfig(namedtuple("VerifyConfig", "samples seed max_n exact")):
+    __slots__ = ()
+
+    def __new__(cls, samples: int = 25, seed: int = 42, max_n: int = 5, exact: bool = True):
+        if samples < 1:
+            raise ValueError(f"need at least one sample, got {samples}")
+        if not 2 <= max_n <= VERIFY_MAX_N:
+            raise ValueError(f"need 2 <= max_n <= {VERIFY_MAX_N}, got {max_n}")
+        if seed < 0:
+            raise ValueError(f"need seed >= 0, got {seed}")
+        return super().__new__(cls, samples, seed, max_n, exact)
+
+
 class CheckResult:
-    name: str
-    passed: int = 0
-    failed: int = 0
-    first_failure: str | None = None
+    def __init__(self, name: str):
+        self.name = name
+        self.passed = 0
+        self.failed = 0
+        self.first_failure = None
 
     def record(self, ok: bool, message: str = ""):
         if ok:

@@ -1,10 +1,11 @@
+import math
 import random
 from fractions import Fraction
 from itertools import permutations
 
 import pytest
 
-from bdpants import PantsParams
+from bdpants import PantsParams, linalg
 from bdpants.cli import main
 from bdpants.pants import eigenvalues
 
@@ -66,3 +67,32 @@ def sym_eigenvalues(m, n):
     power of a hyperbolic element, in decreasing order."""
     lam = abs(eigenvalues(m)[0])
     return [lam ** (n - 1 - 2 * k) for k in range(n)]
+
+
+def binomials(m, shift, nrows, ncols):
+    """The Toeplitz matrix with entries C(m, shift + r - j), 0 for a
+    negative lower index."""
+    return [[math.comb(m, shift + r - j) if shift + r - j >= 0 else 0
+             for j in range(ncols)] for r in range(nrows)]
+
+
+def det_y(leaf, n, line, i):
+    """Y(i) of a leaf as the bordered determinant the closed form's sum
+    evaluates: a binomial Toeplitz block bordered by a slice of the line
+    (the reference for `coords._y`, equal to it up to a factor of
+    (leaf, n, i))."""
+    m, shift, size, start = {
+        "h_AB": (0, 0, 1, i),
+        "h_BC": (i + 1, 0, n - i, 0),
+        "h_CA": (n - i, n - i - 1, i + 1, n - i - 1),
+    }[leaf]
+    rows = binomials(m, shift, size, size - 1)
+    for row, entry in zip(rows, line[start:]):
+        row.append(entry)
+    return linalg.det(rows)
+
+
+def det_x(a, b, c):
+    """MacMahon's plane-partition count for an a x b x c box as a
+    Toeplitz binomial determinant (the reference for `coords._x`)."""
+    return linalg.det(binomials(a + c, a, b, b))

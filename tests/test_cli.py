@@ -7,6 +7,8 @@ import math
 import pytest
 
 from bdpants.cli import main
+from bdpants.coords import MAX_N
+from bdpants.verify import VERIFY_MAX_N
 
 from conftest import run_cli
 
@@ -233,12 +235,14 @@ def test_sweep_rejects_small_n_with_coords_message(capsys):
     ["coords", "--n", "1000000000", "--abc", "2,1,1/2"],
     ["sweep", "--n", "65", "--grid", "lA:1:1:1,lB:1:1:1,lC:1:1:1"],
     ["sweep", "--n", "1000000000", "--grid", "lA:1:1:1,lB:1:1:1,lC:1:1:1"],
-    ["verify", "--max-n", "65"],
+    ["verify", "--max-n", "13"],
 ])
 def test_rank_above_cap_is_refused(capsys, argv):
+    # the validators refuse before any work; no large rank is ever run
+    cap = VERIFY_MAX_N if argv[0] == "verify" else MAX_N
     code, out, err = run_cli(capsys, argv)
     assert code == 2 and out == ""
-    assert "<= 64, got" in err
+    assert f"<= {cap}, got {argv[2]}" in err
 
 
 def test_sweep_grid_ends_at_stop(capsys):

@@ -13,12 +13,11 @@ from bdpants.coords import (
     CoordinateVector,
     PositivityViolationError,
     assemble_phi,
-    binom_ext,
     boundary_sum_R,
     polytope_check,
     tau_index_tuples,
 )
-from bdpants.coords import _binomials, _leaf_points, _line, _x, _y  # closed-form internals
+from bdpants.coords import _leaf_points, _line, _x, _y  # closed-form internals
 from bdpants.flags import double_ratios_exp, triple_ratios_exp
 from bdpants.pants import (
     BOUNDARIES,
@@ -35,17 +34,9 @@ from bdpants.pants import (
 )
 from bdpants.veronese import eigen_lengths, flag_curve
 from bdpants.verify import random_params
+from conftest import binomials, det_x, det_y
 
 F = Fraction
-
-
-def test_binom_ext():
-    assert binom_ext(4, 2) == 6
-    assert binom_ext(3, -1) == 0
-    assert binom_ext(2, 3) == 0
-    assert binom_ext(0, 0) == 1
-    with pytest.raises(ValueError):
-        binom_ext(-1, 0)
 
 
 def test_tau_index_tuples():
@@ -115,14 +106,22 @@ def test_hbc_closed_form_pieces_n2(sample_params):
     assert yprime(0) == -1
 
 
+def _superfactorials(n):
+    """g[k] = 0! 1! ... (k-1)! for k = 0, ..., n."""
+    return [math.prod(math.factorial(j) for j in range(k)) for k in range(n + 1)]
+
+
 def test_t1_factor_single_entry():
     # the (1,1,1) factor for n = 3 is a single entry: the two plane
     # partitions in a 1 x 1 x 1 box
-    assert _x(1, 1, 1) == 2
+    assert _x(_superfactorials(3), 1, 1, 1) == 2
+    assert det_x(1, 1, 1) == 2
 
 
 def test_triangle_factor_is_symmetric():
-    # MacMahon's box formula: prod over the box of (i+j+k-1)/(i+j+k-2)
+    # MacMahon's box formula: prod over the box of (i+j+k-1)/(i+j+k-2),
+    # against the T0 and T1 Toeplitz determinants
+    g = _superfactorials(12)
     for total in range(13):
         for a in range(total + 1):
             for b in range(total - a + 1):
@@ -131,9 +130,10 @@ def test_triangle_factor_is_symmetric():
                                   for i in range(1, a + 1)
                                   for j in range(1, b + 1)
                                   for k in range(1, c + 1))
-                assert _x(a, b, c) == boxes
-                assert _x(a, b, c) == linalg.det(_binomials(a + b, a, c, c))
-                assert all(_x(*perm) == boxes for perm in permutations((a, b, c)))
+                assert _x(g, a, b, c) == boxes
+                assert det_x(a, b, c) == boxes
+                assert linalg.det(binomials(a + b, a, c, c)) == boxes
+                assert all(_x(g, *perm) == boxes for perm in permutations((a, b, c)))
 
 
 def _sample_triples():
@@ -143,22 +143,44 @@ def _sample_triples():
         yield params_from_lengths(PantsLengths(*lengths))
 
 
-def test_closed_form_determinants_are_integer(monkeypatch):
-    import bdpants.linalg as linalg_mod
-
-    det = linalg_mod.det
-    seen = []
-
-    def int_det(rows):
-        seen.append(rows)
-        assert all(type(x) is int for row in rows for x in row), rows
-        return det(rows)
-
-    monkeypatch.setattr(linalg_mod, "det", int_det)
+def test_shearing_factors_match_bordered_determinants():
+    # each closed-form Y and Y' is its bordered determinant times one
+    # nonzero factor of (leaf, n, i), shared by Y(i) and Y'(i)
     for params in _sample_triples():
-        for n in range(2, 8):
+        points = _leaf_points(params)
+        for n in range(2, 13):
+            for leaf in LEAVES:
+                line, fourth = (_line(n, point) for point in points[leaf])
+                for i in range(n):
+                    y, yprime = _y(leaf, n, line, i), _y(leaf, n, fourth, i)
+                    ydet, yprime_det = det_y(leaf, n, line, i), det_y(leaf, n, fourth, i)
+                    assert 0 not in (y, yprime, ydet, yprime_det)
+                    assert y * yprime_det == ydet * yprime
+
+
+def test_closed_form_takes_no_determinants(monkeypatch, sample_params):
+    def no_det(rows):
+        raise AssertionError("a determinant was taken")
+
+    monkeypatch.setattr(linalg, "det", no_det)
+    for params in _sample_triples():
+        for n in range(2, 11):
             assemble_phi(n, params, "closed_form")
-    assert seen
+    # the patch is live: the generic path does take determinants
+    with pytest.raises(AssertionError, match="a determinant was taken"):
+        assemble_phi(2, sample_params, "generic")
+
+
+def test_closed_form_at_the_cap():
+    for params in (PantsParams(F(5, 2), 2, F(1, 3)),
+                   params_from_lengths(PantsLengths(0.5, 3.0, 2.375))):
+        al, be, ga = params.alpha, params.beta, params.gamma
+        shears = {"h_AB": 1 / (be * ga), "h_BC": be / ga, "h_CA": al * al * be * ga}
+        for n in (16, 32, 64):
+            coords = assemble_phi(n, params, "closed_form")
+            assert coords.sigma == {leaf: (shears[leaf],) * (n - 1) for leaf in LEAVES}
+            assert coords.tau == {tri: dict.fromkeys(tau_index_tuples(n), 1)
+                                  for tri in TRIANGLES}
 
 
 def test_leaf_points_match_quadruple():

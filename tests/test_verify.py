@@ -6,6 +6,7 @@ import pytest
 
 from bdpants.verify import (
     CHECK_NAMES,
+    VERIFY_MAX_N,
     CheckResult,
     VerifyConfig,
     all_passed,
@@ -40,6 +41,9 @@ def test_config_validation():
         VerifyConfig(samples=0)
     with pytest.raises(ValueError):
         VerifyConfig(max_n=1)
+    assert VerifyConfig(max_n=VERIFY_MAX_N).max_n == VERIFY_MAX_N
+    with pytest.raises(ValueError, match=f"max_n <= {VERIFY_MAX_N}, got {VERIFY_MAX_N + 1}"):
+        VerifyConfig(max_n=VERIFY_MAX_N + 1)
     with pytest.raises(ValueError, match="seed >= 0"):
         VerifyConfig(seed=-1)
 
