@@ -210,11 +210,12 @@ def boundary_sum_R(coords: CoordinateVector, boundary: str, p: int) -> Fraction:
         leaves = BOUNDARY_LEAVES[boundary]
     except KeyError:
         raise ValueError(f"unknown boundary {boundary!r}") from None
-    value = coords.sigma[leaves[0]][p - 1] * coords.sigma[leaves[1]][p - 1]
+    factors = [coords.sigma[leaf][p - 1] for leaf in leaves]
     for tri in TRIANGLES:
-        for q in range(1, n - p):
-            value = value * coords.tau[tri][(p, q, n - p - q)]
-    return value
+        factors.extend(coords.tau[tri][(p, q, n - p - q)] for q in range(1, n - p))
+    # one normalisation of the product, not one per factor
+    return Fraction(math.prod(x.numerator for x in factors),
+                    math.prod(x.denominator for x in factors))
 
 
 def polytope_check(coords: CoordinateVector) -> dict:

@@ -6,7 +6,9 @@ i vectors.  Coordinates are taken against the fixed monomial basis
 b_1 = X^{n-1}, b_2 = X^{n-2}Y, ..., b_n = Y^{n-1}, and the top wedge
 b_1 ^ ... ^ b_n is identified with 1, so a wedge of n vectors is just
 the determinant of their coordinate matrix, `linalg.det` of the vectors
-as rows (a matrix and its transpose have the same determinant).
+as rows (a matrix and its transpose have the same determinant).  A
+`Flag` clears each basis vector's denominators once, when it is built,
+so every wedge is a determinant of integers.
 
 Triple ratios and double ratios are alternating products of such wedge
 determinants over prefix bases of the flags involved.  Both are
@@ -31,6 +33,7 @@ divide by, which is cheaper.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import cache, partial
 from itertools import combinations
@@ -42,17 +45,25 @@ class DegenerateFlagsError(ArithmeticError):
     """A wedge determinant that an invariant divides by vanished."""
 
 
+def _cleared(v) -> tuple:
+    """The rational vector v times the LCM of its denominators, as ints."""
+    # a list: unpacking a generator grows its tuple by resizing
+    d = math.lcm(*[x.denominator for x in v])
+    return tuple(x.numerator * (d // x.denominator) for x in v)
+
+
 class Flag:
-    """An ordered basis of R^n; prefix spans are the flag subspaces."""
+    """An ordered basis of R^n; prefix spans are the flag subspaces.
+    Each vector is stored cleared of denominators, which no invariant sees."""
 
     __slots__ = ("basis",)
 
-    def __init__(self, basis, check: bool = True):
-        basis = tuple(tuple(v) for v in basis)
+    def __init__(self, basis):
+        basis = tuple(_cleared(v) for v in basis)
         n = len(basis)
         if n == 0 or any(len(v) != n for v in basis):
             raise ValueError("flag basis must be n vectors of dimension n")
-        if check and linalg.det(list(basis)) == 0:
+        if linalg.det(basis) == 0:
             raise ValueError("flag basis is not linearly independent")
         self.basis = basis
 
@@ -70,7 +81,7 @@ class Flag:
 
 def apply_matrix(m, flag: Flag) -> Flag:
     """Image flag under an invertible matrix (basis mapped vector-wise)."""
-    return Flag([linalg.mat_vec(m, list(v)) for v in flag.basis], check=False)
+    return Flag([linalg.mat_vec(m, v) for v in flag.basis])
 
 
 def flags_equal(f: Flag, g: Flag) -> bool:
@@ -115,7 +126,7 @@ def is_generic(flags) -> bool:
     return True
 
 
-def _x_factor(e: Flag, f: Flag, g: Flag, a: int, b: int, c: int) -> Fraction:
+def _x_factor(e: Flag, f: Flag, g: Flag, a: int, b: int, c: int) -> int:
     """Wedge of the a-, b- and c-prefixes of three flags (a + b + c = n).
     A zero index contributes no vectors."""
     return linalg.det(list(e.prefix(a)) + list(f.prefix(b)) + list(g.prefix(c)))

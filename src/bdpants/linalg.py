@@ -1,35 +1,21 @@
-"""Dense exact linear algebra: one integer elimination behind det and rank.
+"""Dense exact linear algebra over the integers: one elimination behind
+det and rank.
 
 Determinants carry the generic path: there every projective invariant
 is an alternating product of n-by-n wedge determinants of flag
-prefixes (the closed form of `bdpants.coords` takes none).  Entries are
-ints or Fractions.  Both `det` and `rank` clear each row's
-denominators and run the same fraction-free Bareiss elimination over
-Python ints (every intermediate entry is a minor of the scaled matrix,
-so each division is exact), skipping columns that have no pivot.  The
-determinant divides by the row scales once at the end.  Matrices are
-lists of row lists and sizes stay at desk scale.
+prefixes (the closed form of `bdpants.coords` takes none).  Entries
+must be ints; `bdpants.flags.Flag` clears the denominators of its basis
+vectors once, where a flag is built.  Both `det` and `rank` run the same
+fraction-free Bareiss elimination on a copy of the rows (every
+intermediate entry is a minor of the matrix, so each division is
+exact), skipping columns that have no pivot.  A non-integer entry
+raises TypeError: the exact divisions would silently go wrong on it.
+Matrices are lists of row lists and sizes stay at desk scale.
 """
 
 from __future__ import annotations
 
-import math
-from fractions import Fraction
-
-
-def _integer_rows(rows):
-    """Each row times the LCM of its denominators, as ints, and the
-    product of those LCMs."""
-    scale = 1
-    m = []
-    for row in rows:
-        # a list, not a generator: unpacking a generator builds its tuple
-        # by resizing, which moves memory into CPython's tuple free lists
-        # on every call until they fill (about 1.7 MB at n = 10)
-        d = math.lcm(*[x.denominator for x in row])
-        scale *= d
-        m.append([x.numerator * (d // x.denominator) for x in row])
-    return m, scale
+import operator
 
 
 def _eliminate(m, ncols: int):
@@ -66,22 +52,23 @@ def _eliminate(m, ncols: int):
     return r, sign * prev
 
 
-def det(rows) -> Fraction:
-    """Determinant of a square matrix given as a list of rows."""
+def det(rows) -> int:
+    """Determinant of a square integer matrix given as a list of rows."""
     n = len(rows)
     for row in rows:
         if len(row) != n:
             raise ValueError(f"matrix is not square: {n} rows, row of length {len(row)}")
-    m, scale = _integer_rows(rows)
-    r, minor = _eliminate(m, n)
-    return Fraction(minor if r == n else 0, scale)
+    # a copy, as _eliminate works in place; operator.index refuses a
+    # non-integer entry, on which Bareiss's exact divisions go wrong
+    r, minor = _eliminate([list(map(operator.index, row)) for row in rows], n)
+    return minor if r == n else 0
 
 
 def rank(rows) -> int:
-    """Exact rank of a (possibly rectangular) matrix of rows."""
+    """Exact rank of a (possibly rectangular) integer matrix of rows."""
     if not rows:
         return 0
-    m, _ = _integer_rows(rows)
+    m = [list(map(operator.index, row)) for row in rows]
     return _eliminate(m, len(m[0]))[0]
 
 

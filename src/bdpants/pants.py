@@ -201,22 +201,23 @@ class SL2Mat:
 
 class ProjPoint:
     """A point [u : v] of the projective boundary line; [1 : 0] is the
-    point at infinity and a finite r is [r : 1]."""
+    point at infinity and a finite r is [r : 1].  The pair is stored as
+    coprime ints with v > 0, or (1, 0), so equal points have equal pairs."""
 
     __slots__ = ("u", "v")
 
     def __init__(self, u, v):
         if u == 0 and v == 0:
             raise ValueError("projective point needs a nonzero coordinate")
-        self.u, self.v = u, v
+        self.u, self.v = (1, 0) if v == 0 else Fraction(u, v).as_integer_ratio()
 
     @classmethod
     def of(cls, value: Fraction) -> "ProjPoint":
-        return cls(value, Fraction(1))
+        return cls(value, 1)
 
     @classmethod
     def infinity(cls) -> "ProjPoint":
-        return cls(Fraction(1), Fraction(0))
+        return cls(1, 0)
 
     @property
     def is_infinity(self) -> bool:
@@ -225,12 +226,12 @@ class ProjPoint:
     def value(self) -> Fraction:
         if self.v == 0:
             raise ZeroDivisionError("point at infinity has no finite value")
-        return self.u / self.v
+        return Fraction(self.u, self.v)
 
     def __eq__(self, other):
         if not isinstance(other, ProjPoint):
             return NotImplemented
-        return self.u * other.v == other.u * self.v
+        return (self.u, self.v) == (other.u, other.v)
 
     def __repr__(self):
         if self.is_infinity:
@@ -324,9 +325,9 @@ def triangle_vertices(params: PantsParams, triangle: str):
     have vertices (inf, 1, 0) and (inf, 0, -beta*gamma).
     """
     inf = ProjPoint.infinity()
-    zero = ProjPoint.of(Fraction(0))
+    zero = ProjPoint.of(0)
     if triangle == "T0":
-        return (inf, ProjPoint.of(Fraction(1)), zero)
+        return (inf, ProjPoint.of(1), zero)
     if triangle == "T1":
         return (inf, zero, ProjPoint.of(-params.beta * params.gamma))
     raise ValueError(f"unknown triangle {triangle!r}")
@@ -342,13 +343,13 @@ def leaf_quadruple(params: PantsParams, leaf: str):
     a(0) = alpha^2*beta*gamma + 1.
     """
     al, be, ga = params.alpha, params.beta, params.gamma
-    one = Fraction(1)
     inf = ProjPoint.infinity()
-    zero = ProjPoint.of(Fraction(0))
+    zero = ProjPoint.of(0)
+    one = ProjPoint.of(1)
     if leaf == "h_AB":
-        return (inf, zero, ProjPoint.of(-be * ga), ProjPoint.of(one))
+        return (inf, zero, ProjPoint.of(-be * ga), one)
     if leaf == "h_BC":
-        return (zero, ProjPoint.of(one), ProjPoint.of(be / (be + ga)), inf)
+        return (zero, one, ProjPoint.of(be / (be + ga)), inf)
     if leaf == "h_CA":
-        return (ProjPoint.of(one), inf, ProjPoint.of(al * al * be * ga + one), zero)
+        return (one, inf, ProjPoint.of(al * al * be * ga + 1), zero)
     raise ValueError(f"unknown leaf {leaf!r}")

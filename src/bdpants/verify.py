@@ -61,7 +61,7 @@ CHECK_NAMES = (
 
 
 # the largest max_n accepted: verify runs the generic path and the flag
-# checks at every rank up to it, about a minute at 12 and 25 samples
+# checks at every rank up to it, about half a minute at 12 and 25 samples
 VERIFY_MAX_N = 12
 
 
@@ -128,14 +128,12 @@ def random_params(rng: random.Random, exact: bool = True) -> PantsParams:
 def random_point(rng: random.Random) -> ProjPoint:
     if rng.random() < 0.1:
         return ProjPoint.infinity()
-    return ProjPoint.of(Fraction(rng.randint(-24, 24), rng.randint(1, 8)))
+    return ProjPoint(rng.randint(-24, 24), rng.randint(1, 8))
 
 
 def random_flag(rng: random.Random, n: int) -> Flag:
     while True:
-        basis = [
-            [Fraction(rng.randint(-5, 5)) for _ in range(n)] for _ in range(n)
-        ]
+        basis = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
         try:
             return Flag(basis)
         except ValueError:
@@ -216,9 +214,9 @@ def _check_fixed_points(result, params, rep, ctx):
     checks = [
         att_a == ProjPoint.infinity(),
         rep_a == formula_a,
-        att_b == ProjPoint.of(Fraction(0)),
+        att_b == ProjPoint.of(0),
         rep_b == formula_b,
-        att_c == ProjPoint.of(Fraction(1)),
+        att_c == ProjPoint.of(1),
         rep_c == formula_c,
         # circular ordering of the repelling points
         rep_a.value() < 0,

@@ -16,13 +16,13 @@ the polynomials divisible by (uX + vY)^{n-i} (by X^{n-i} at infinity).
 The flag basis fixed here takes (uX + vY)^{n-i} X^{i-1} as the i-th
 vector, which spans correctly for every point with v != 0 and
 degenerates only at infinity, where the monomials X^{n-i} Y^{i-1}
-take over.
+take over.  A `ProjPoint` is a coprime integer pair, so these flags
+are integer from the start; `sym_power` of a rational matrix is not.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .flags import Flag
 from .pants import ProjPoint, SL2Mat, eigenvalues, fixed_points
@@ -34,7 +34,7 @@ def _lin_power(s, t, m: int):
 
 
 def _poly_mul(p, q):
-    out = [0 * p[0] * q[0]] * (len(p) + len(q) - 1)
+    out = [0] * (len(p) + len(q) - 1)
     for i, pi in enumerate(p):
         for j, qj in enumerate(q):
             out[i + j] = out[i + j] + pi * qj
@@ -61,19 +61,15 @@ def flag_curve(x: ProjPoint, n: int) -> Flag:
         raise ValueError(f"flag curve needs n >= 2, got {n}")
     if not isinstance(x, ProjPoint):
         raise ValueError(f"not a projective point: {x!r}")
-    zero = Fraction(0)
-    one = Fraction(1)
     basis = []
     if x.v == 0:
         # divisibility by X^{n-i}: the monomial ladder itself
         for i in range(1, n + 1):
-            basis.append([one if k == i - 1 else zero for k in range(n)])
+            basis.append([1 if k == i - 1 else 0 for k in range(n)])
     else:
         for i in range(1, n + 1):
-            vec = _lin_power(x.u, x.v, n - i)
-            vec.extend([zero] * (i - 1))
-            basis.append(vec)
-    return Flag(basis, check=False)
+            basis.append(_lin_power(x.u, x.v, n - i) + [0] * (i - 1))
+    return Flag(basis)
 
 
 def stable_flag(m: SL2Mat, n: int) -> Flag:

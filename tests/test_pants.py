@@ -217,3 +217,19 @@ def test_projpoint_equality_cross_multiplication():
     assert ProjPoint(F(1), F(0)) != ProjPoint(F(1), F(1))
     with pytest.raises(ValueError):
         ProjPoint(F(0), F(0))
+
+
+def test_projpoint_pairs_are_canonical():
+    # coprime ints with v > 0, or (1, 0) at infinity, whatever the input
+    for point, pair in (
+        (ProjPoint(F(3), F(2)), (3, 2)),
+        (ProjPoint(F(-1, 2), F(-1)), (1, 2)),
+        (ProjPoint(6, -4), (-3, 2)),
+        (ProjPoint(-5, 0), (1, 0)),
+        (ProjPoint.of(F(-7, 3)), (-7, 3)),
+    ):
+        assert (point.u, point.v) == pair
+        assert type(point.u) is int and type(point.v) is int
+    assert ProjPoint(-5, 0) == ProjPoint.infinity()
+    value = ProjPoint(F(-1, 2), F(-1)).value()
+    assert type(value) is Fraction and value == F(1, 2)

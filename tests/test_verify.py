@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import pytest
 
+from bdpants import PantsParams, linalg
+from bdpants.coords import assemble_phi
 from bdpants.verify import (
     CHECK_NAMES,
     VERIFY_MAX_N,
@@ -74,3 +76,24 @@ def test_random_params_stay_in_domain(rng):
         assert params.beta == Fraction(math.exp((lC - lA) / 2))
         assert params.gamma == Fraction(math.exp(-lB / 2))
         assert params.alpha > 1 and 0 < params.gamma < 1 and params.beta > 0
+
+
+def test_kernel_sees_only_integer_matrices(monkeypatch):
+    # every matrix the generic path and the verify sweep hand to det and
+    # rank is all-int: denominators are cleared where a flag is built
+    seen = []
+
+    def recording(fn):
+        def wrapper(rows):
+            seen.append([list(row) for row in rows])
+            return fn(rows)
+        return wrapper
+
+    monkeypatch.setattr(linalg, "det", recording(linalg.det))
+    monkeypatch.setattr(linalg, "rank", recording(linalg.rank))
+    for exact in (True, False):
+        run_verification(VerifyConfig(samples=2, seed=3, max_n=5, exact=exact))
+    for n in range(2, 8):
+        assemble_phi(n, PantsParams(Fraction(5, 2), 2, Fraction(1, 3)), "generic")
+    assert len(seen) > 1000
+    assert all(type(x) is int for rows in seen for row in rows for x in row)

@@ -13,7 +13,7 @@ from bdpants.veronese import (
 )
 from bdpants.verify import random_params
 
-from conftest import mat_mul, sym_eigenvalues
+from conftest import leibniz_det, mat_mul, sym_eigenvalues
 
 F = Fraction
 
@@ -64,19 +64,17 @@ def test_homomorphism_property(rng):
 
 
 def test_determinant_one(rng):
+    # sym_power of a rational matrix is rational, so the integer kernel
+    # does not apply; the permutation sum does
     for _ in range(10):
         m = _random_sl2(rng)
         for n in (2, 3, 4, 5, 6):
-            assert linalg.det(sym_power(m, n)) == 1
+            assert leibniz_det(sym_power(m, n)) == 1
 
 
 def test_flag_curve_at_infinity():
     flag = flag_curve(ProjPoint.infinity(), 3)
-    assert list(flag.basis) == [
-        (F(1), F(0), F(0)),
-        (F(0), F(1), F(0)),
-        (F(0), F(0), F(1)),
-    ]
+    assert list(flag.basis) == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
 
 
 def test_flag_curve_at_zero():
