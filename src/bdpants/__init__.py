@@ -51,7 +51,7 @@ from .pants import (
     validate_params,
 )
 from .scalars import exact_sqrt, log_to_float
-from .veronese import eigen_lengths, flag_curve, stable_flag, sym_power
+from .veronese import flag_curve, stable_flag, sym_power
 from .verify import VerifyConfig, all_passed, run_verification
 
 __version__ = "0.1.0"

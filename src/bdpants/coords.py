@@ -13,22 +13,27 @@ formulas of `bdpants.flags` and differ only in their factors:
   * the generic path builds the boundary flags of the representation
     and takes the factors as wedge determinants of flag prefixes;
   * the closed-form path takes them from explicit formulas in the
-    parameters (alpha, beta, gamma), sums and products of binomials
-    over the integers, with no determinant.  Each factor is defined
-    only up to what cancels in its ratio.  Y and Y' are one function
-    of the line (uX + vY)^(n-1) of a point [u : v], taken at the
-    leaf's third and fourth vertex, and each point is passed as the
-    integer pair of its value's numerator and denominator; that scales
-    Y by v^(n-1) for every i.  Y(i) is a binomial block bordered by a
-    slice of the line, and such a determinant is the slice paired with
-    the block's left null vector, the coefficients of (1 + t)^(-m),
-    times a factor of (leaf, n, i) that Y(i) and Y'(i) share; both
-    scalings cancel in every double ratio.  The triangle factor drops
-    a sign and a power of beta*gamma that cancel in every triple ratio;
-    what is left is MacMahon's count of plane partitions in an
-    a x b x c box, G(a) G(b) G(c) G(a+b+c) / (G(a+b) G(b+c) G(c+a))
-    with G(k) = 0! 1! ... (k-1)!, symmetric in a, b and c and free of
-    the parameters, so one factor serves both triangles.
+    parameters (alpha, beta, gamma), one monomial per factor over the
+    integers, with no determinant.  Each factor is defined only up to
+    what cancels in its ratio.  A leaf's Y(i) and Y'(i) are one
+    monomial of degree n-1 in a point [u : v], taken at the leaf's
+    third and fourth vertex, each passed as the integer pair of its
+    value's numerator and denominator:
+
+        h_AB:  C(n-1, i) u^(n-1-i) v^i
+        h_BC:  C(n-1, i) u^i (v-u)^(n-1-i)
+        h_CA:  (-1)^i C(n-1, i) v^(n-1-i) (v-u)^i
+
+    each the one term left of the bordered binomial determinant behind
+    the generic factor, up to a factor of (leaf, n, i) that Y(i) and
+    Y'(i) share.  In every double ratio the binomials and signs cancel,
+    leaving the paper's parametrization 1/(beta gamma), beta/gamma and
+    alpha^2 beta gamma.  Up to a sign and a power of beta*gamma, the
+    triangle factor is MacMahon's count of plane partitions in an
+    a x b x c box, which once a + b + c = n is G(n) h(a) h(b) h(c) with
+    h(k) = G(k) / G(n-k) and G(k) = 0! 1! ... (k-1)!.  A factor of the
+    form f(a) g(b) h(c) cancels in every triple ratio, so the triangle
+    factor is the constant 1 and serves both triangles.
 
 The formulas evaluate each factor once per call: per leaf for the
 shearing invariants, once for both triangles' invariants.
@@ -43,11 +48,9 @@ do not depend on p.
 from __future__ import annotations
 
 import math
-import operator
 from collections import namedtuple
 from fractions import Fraction
 from functools import partial
-from itertools import accumulate
 
 from .flags import _double_ratios, _triple_ratios, double_ratios_exp, triple_ratios_exp
 from .pants import (
@@ -61,8 +64,8 @@ from .pants import (
 )
 from .veronese import flag_curve
 
-# the largest rank accepted; the index tuples alone grow as n^2 / 2, and
-# the closed form takes about 0.25 s at this cap
+# the largest rank accepted: the output grows as n^2 (313 kB of JSON at
+# this cap), while the closed form itself is small integer work
 MAX_N = 64
 
 
@@ -77,15 +80,10 @@ def tau_index_tuples(n: int):
 
 
 # ---------------------------------------------------------------------------
-# closed-form factors: sums and products of binomials, each defined only
-# up to what cancels in its ratio, so a single factor may be negative;
-# every assembled ratio must come out positive, which assemble_phi checks.
-
-def _line(n: int, point) -> list:
-    """Coefficients of (uX + vY)^(n-1) for a point [u : v] of integers."""
-    u, v = point
-    return [math.comb(n - 1, k) * u ** (n - 1 - k) * v ** k for k in range(n)]
-
+# closed-form factors: one monomial per shearing factor, each defined
+# only up to what cancels in its ratio, so a single factor may be
+# negative; every assembled ratio must come out positive, which
+# assemble_phi checks.
 
 def _leaf_points(params: PantsParams) -> dict:
     """The third and fourth vertex of each leaf's quadruple, as integer
@@ -98,31 +96,15 @@ def _leaf_points(params: PantsParams) -> dict:
     }
 
 
-def _y(leaf: str, n: int, line, i: int) -> int:
-    """Y(i) of a leaf at the point with the given line, up to a factor
-    of (leaf, n, i) shared with Y'(i).
-
-    Y(i) is the determinant of an s x (s-1) binomial block C(m, r - j)
-    bordered by a slice w of the line, that is, w paired with the
-    block's left null vector, the coefficients of (1 + t)^(-m); the
-    slices here are listed from w[s-1] down to w[0].
-    """
+def _y(leaf: str, n: int, point, i: int) -> int:
+    """Y(i) of a leaf at the point [u : v], up to a factor of (leaf, n, i)
+    shared with Y'(i): one term of degree n-1 in u and v."""
+    u, v = point
     if leaf == "h_AB":
-        return line[i]
+        return math.comb(n - 1, i) * u ** (n - 1 - i) * v ** i
     if leaf == "h_BC":
-        m, w = i + 1, line[n - i - 1::-1]
-    else:
-        # the block of h_CA, C(n-i, n-i-1 + r - j), is C(n-i, r - j)
-        # with its rows and columns reversed
-        m, w = n - i, line[n - i - 1:]
-    return sum((-1) ** k * math.comb(m + k - 1, k) * x for k, x in enumerate(w))
-
-
-def _x(g, a: int, b: int, c: int) -> int:
-    """X(a, b, c) of either triangle, up to factors that cancel in every
-    triple ratio: MacMahon's number of plane partitions in an a x b x c
-    box, given the superfactorials g[k] = 0! 1! ... (k-1)!."""
-    return g[a] * g[b] * g[c] * g[a + b + c] // (g[a + b] * g[b + c] * g[c + a])
+        return math.comb(n - 1, i) * u ** i * (v - u) ** (n - 1 - i)
+    return (-1) ** i * math.comb(n - 1, i) * v ** (n - 1 - i) * (v - u) ** i
 
 
 # ---------------------------------------------------------------------------
@@ -175,10 +157,11 @@ def assemble_phi(n: int, params: PantsParams, method: str = "closed_form") -> Co
     elif method == "closed_form":
         points = _leaf_points(params)
         for leaf in LEAVES:
-            y, yprime = (partial(_y, leaf, n, _line(n, point)) for point in points[leaf])
+            y, yprime = (partial(_y, leaf, n, point) for point in points[leaf])
             sigma[leaf] = tuple(_double_ratios(y, yprime, n, range(1, n)))
-        g = list(accumulate(map(math.factorial, range(n)), operator.mul, initial=1))
-        ratios = _triple_ratios(partial(_x, g), n, tuples)
+        # the triangle factor is f(a) g(b) h(c) up to a sign and a power
+        # of beta*gamma, and all of that cancels in every triple ratio
+        ratios = _triple_ratios(lambda a, b, c: 1, n, tuples)
         tau = {tri: dict(ratios) for tri in TRIANGLES}
     else:
         raise ValueError(f"unknown method {method!r}")

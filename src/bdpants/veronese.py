@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 
 from .flags import Flag
-from .pants import ProjPoint, SL2Mat, eigenvalues, fixed_points
+from .pants import ProjPoint, SL2Mat, fixed_points
 
 
 def _lin_power(s, t, m: int):
@@ -86,17 +86,3 @@ def stable_flag(m: SL2Mat, n: int) -> Flag:
         for i in range(1, n + 1)
     ]
     return Flag(basis)
-
-
-def eigen_lengths(m: SL2Mat, n: int):
-    """Exponentiated length spectrum of the symmetric power.
-
-    The eigenvalues of the image of a hyperbolic element with leading
-    eigenvalue lam are lam^{n-1}, lam^{n-3}, ..., lam^{1-n}; every
-    consecutive ratio is lam^2, returned once per k = 1, ..., n-1.
-    """
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
-    lam, _ = eigenvalues(m)
-    ratio = lam * lam
-    return [ratio] * (n - 1)

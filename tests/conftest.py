@@ -77,10 +77,9 @@ def binomials(m, shift, nrows, ncols):
 
 
 def det_y(leaf, n, line, i):
-    """Y(i) of a leaf as the bordered determinant the closed form's sum
-    evaluates: a binomial Toeplitz block bordered by a slice of the line
-    (the reference for `coords._y`, equal to it up to a factor of
-    (leaf, n, i))."""
+    """Y(i) of a leaf as a binomial Toeplitz block bordered by a slice of
+    the line of its point: the determinant that `sum_y` writes out, equal
+    to it and to `coords._y` up to a factor of (leaf, n, i)."""
     m, shift, size, start = {
         "h_AB": (0, 0, 1, i),
         "h_BC": (i + 1, 0, n - i, 0),
@@ -94,5 +93,46 @@ def det_y(leaf, n, line, i):
 
 def det_x(a, b, c):
     """MacMahon's plane-partition count for an a x b x c box as a
-    Toeplitz binomial determinant (the reference for `coords._x`)."""
+    Toeplitz binomial determinant (the reference for `macmahon_x`)."""
     return linalg.det(binomials(a + c, a, b, b))
+
+
+def line(n, point):
+    """Coefficients of (uX + vY)^(n-1) for a point [u : v] of integers."""
+    u, v = point
+    return [math.comb(n - 1, k) * u ** (n - 1 - k) * v ** k for k in range(n)]
+
+
+def sum_y(leaf, n, line, i):
+    """Y(i) of a leaf at the point with the given line, as the alternating
+    sum its bordered determinant `det_y` evaluates to, up to a factor of
+    (leaf, n, i) shared with Y'(i); `coords._y` is its one-term collapse
+    (Chu-Vandermonde) and equals it exactly.
+
+    The determinant of an s x (s-1) binomial block C(m, r - j) bordered
+    by a slice w of the line is w paired with the block's left null
+    vector, the coefficients of (1 + t)^(-m); the slices here are listed
+    from w[s-1] down to w[0].
+    """
+    if leaf == "h_AB":
+        return line[i]
+    if leaf == "h_BC":
+        m, w = i + 1, line[n - i - 1::-1]
+    else:
+        # the block of h_CA, C(n-i, n-i-1 + r - j), is C(n-i, r - j)
+        # with its rows and columns reversed
+        m, w = n - i, line[n - i - 1:]
+    return sum((-1) ** k * math.comb(m + k - 1, k) * x for k, x in enumerate(w))
+
+
+def superfactorials(n):
+    """g[k] = 0! 1! ... (k-1)! for k = 0, ..., n."""
+    return [math.prod(math.factorial(j) for j in range(k)) for k in range(n + 1)]
+
+
+def macmahon_x(g, a, b, c):
+    """MacMahon's number of plane partitions in an a x b x c box,
+    G(a) G(b) G(c) G(a+b+c) / (G(a+b) G(b+c) G(c+a)) with the
+    superfactorials g[k] = G(k): the triangle factor, up to a sign and a
+    power of beta*gamma, that `coords` replaces by the constant 1."""
+    return g[a] * g[b] * g[c] * g[a + b + c] // (g[a + b] * g[b + c] * g[c + a])

@@ -17,8 +17,8 @@ from bdpants.coords import (
     polytope_check,
     tau_index_tuples,
 )
-from bdpants.coords import _leaf_points, _line, _x, _y  # closed-form internals
-from bdpants.flags import double_ratios_exp, triple_ratios_exp
+from bdpants.coords import MAX_N, _leaf_points, _y  # closed-form internals
+from bdpants.flags import _triple_ratios, double_ratios_exp, triple_ratios_exp
 from bdpants.pants import (
     BOUNDARIES,
     LEAVES,
@@ -27,14 +27,15 @@ from bdpants.pants import (
     PantsParams,
     ProjPoint,
     boundary_matrix,
+    eigenvalues,
     build_rep,
     leaf_quadruple,
     params_from_lengths,
     triangle_vertices,
 )
-from bdpants.veronese import eigen_lengths, flag_curve
+from bdpants.veronese import flag_curve
 from bdpants.verify import random_params
-from conftest import binomials, det_x, det_y
+from conftest import binomials, det_x, det_y, line, macmahon_x, sum_y, superfactorials
 
 F = Fraction
 
@@ -98,30 +99,69 @@ def test_hbc_closed_form_pieces_n2(sample_params):
     be, ga = sample_params.beta, sample_params.gamma
     point, fourth = _leaf_points(sample_params)["h_BC"]
     v = point[1]
-    y = partial(_y, "h_BC", 2, _line(2, point))
-    yprime = partial(_y, "h_BC", 2, _line(2, fourth))
+    y = partial(_y, "h_BC", 2, point)
+    yprime = partial(_y, "h_BC", 2, fourth)
     assert y(1) == be / (be + ga) * v
     assert yprime(1) == 1
     assert y(0) == ga / (be + ga) * v
     assert yprime(0) == -1
 
 
-def _superfactorials(n):
-    """g[k] = 0! 1! ... (k-1)! for k = 0, ..., n."""
-    return [math.prod(math.factorial(j) for j in range(k)) for k in range(n + 1)]
+def _form_coefficients(value, bits, degree):
+    """The coefficients c_0, ..., c_degree of a binary form
+    F(u, v) = sum c_k u^(degree-k) v^k from the integer F(1, 2^bits),
+    given every |c_k| < 2^(bits-1): balanced digits in base 2^bits
+    (Kronecker substitution)."""
+    base = 1 << bits
+    coeffs = []
+    for _ in range(degree + 1):
+        digit = value & (base - 1)
+        if digit >= base >> 1:
+            digit -= base
+        coeffs.append(digit)
+        value = (value - digit) >> bits
+    assert value == 0
+    return coeffs
+
+
+def test_shearing_monomial_is_the_reference_sum():
+    # both sides are binary forms of degree n-1 in (u, v) with integer
+    # coefficients of size at most 4^(n-1): C(n-1, i) times a binomial
+    # of at most n-1 for the monomial, C(n-1, k) times C(m+k-1, k) with
+    # m+k-1 <= n-1 for the sum; so their values at (1, 2^(2n)) are their
+    # coefficient vectors, and equal vectors make the identity hold at
+    # every point
+    for n in range(2, MAX_N + 1):
+        bits = 2 * n
+        point = (1, 1 << bits)
+        reference_line = line(n, point)
+        for leaf in LEAVES:
+            for i in range(n):
+                monomial = _form_coefficients(_y(leaf, n, point, i), bits, n - 1)
+                reference = _form_coefficients(sum_y(leaf, n, reference_line, i), bits, n - 1)
+                assert monomial == reference
+
+
+def test_reference_triangle_factor_ratios_are_one():
+    # MacMahon's count is f(a) g(b) h(c) once a + b + c = n, so the
+    # constant 1 that replaces it gives the same triple ratios
+    for n in (*range(3, 25), MAX_N):
+        x = partial(macmahon_x, superfactorials(n))
+        tuples = tau_index_tuples(n)
+        assert _triple_ratios(x, n, tuples) == dict.fromkeys(tuples, 1)
 
 
 def test_t1_factor_single_entry():
     # the (1,1,1) factor for n = 3 is a single entry: the two plane
     # partitions in a 1 x 1 x 1 box
-    assert _x(_superfactorials(3), 1, 1, 1) == 2
+    assert macmahon_x(superfactorials(3), 1, 1, 1) == 2
     assert det_x(1, 1, 1) == 2
 
 
 def test_triangle_factor_is_symmetric():
     # MacMahon's box formula: prod over the box of (i+j+k-1)/(i+j+k-2),
     # against the T0 and T1 Toeplitz determinants
-    g = _superfactorials(12)
+    g = superfactorials(12)
     for total in range(13):
         for a in range(total + 1):
             for b in range(total - a + 1):
@@ -130,10 +170,10 @@ def test_triangle_factor_is_symmetric():
                                   for i in range(1, a + 1)
                                   for j in range(1, b + 1)
                                   for k in range(1, c + 1))
-                assert _x(g, a, b, c) == boxes
+                assert macmahon_x(g, a, b, c) == boxes
                 assert det_x(a, b, c) == boxes
                 assert linalg.det(binomials(a + b, a, c, c)) == boxes
-                assert all(_x(g, *perm) == boxes for perm in permutations((a, b, c)))
+                assert all(macmahon_x(g, *perm) == boxes for perm in permutations((a, b, c)))
 
 
 def _sample_triples():
@@ -150,10 +190,11 @@ def test_shearing_factors_match_bordered_determinants():
         points = _leaf_points(params)
         for n in range(2, 13):
             for leaf in LEAVES:
-                line, fourth = (_line(n, point) for point in points[leaf])
+                third, fourth = points[leaf]
+                lines = line(n, third), line(n, fourth)
                 for i in range(n):
-                    y, yprime = _y(leaf, n, line, i), _y(leaf, n, fourth, i)
-                    ydet, yprime_det = det_y(leaf, n, line, i), det_y(leaf, n, fourth, i)
+                    y, yprime = _y(leaf, n, third, i), _y(leaf, n, fourth, i)
+                    ydet, yprime_det = (det_y(leaf, n, w, i) for w in lines)
                     assert 0 not in (y, yprime, ydet, yprime_det)
                     assert y * yprime_det == ydet * yprime
 
@@ -287,9 +328,9 @@ def test_boundary_sums_match_eigen_ratios():
         for n in (2, 3, 4, 5):
             coords = assemble_phi(n, params, "generic")
             for boundary in BOUNDARIES:
-                ratios = eigen_lengths(boundary_matrix(rep, boundary), n)
+                lam = eigenvalues(boundary_matrix(rep, boundary))[0]
                 for p in range(1, n):
-                    assert boundary_sum_R(coords, boundary, p) == ratios[p - 1]
+                    assert boundary_sum_R(coords, boundary, p) == lam ** 2
 
 
 def test_rotation_relation(sample_params):

@@ -14,6 +14,7 @@ from bdpants.pants import (
     SL2Mat,
     build_rep,
     check_domain,
+    eigenvalues,
     fixed_points,
     leaf_quadruple,
     lengths_from_params,
@@ -185,6 +186,11 @@ def test_fixed_points_rejects_non_hyperbolic():
     rotation = SL2Mat(F(0), F(-1), F(1), F(0))
     with pytest.raises(ValueError, match="not hyperbolic"):
         fixed_points(rotation)
+
+
+def test_eigenvalues_rejects_parabolic():
+    with pytest.raises(ValueError, match="not hyperbolic"):
+        eigenvalues(SL2Mat(F(1), F(1), F(0), F(1)))
 
 
 def test_check_domain_reports(sample_params):

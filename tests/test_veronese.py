@@ -5,12 +5,7 @@ import pytest
 from bdpants import linalg
 from bdpants.flags import apply_matrix, flags_equal
 from bdpants.pants import ProjPoint, SL2Mat, build_rep, eigenvalues, fixed_points, mobius_apply
-from bdpants.veronese import (
-    eigen_lengths,
-    flag_curve,
-    stable_flag,
-    sym_power,
-)
+from bdpants.veronese import flag_curve, stable_flag, sym_power
 from bdpants.verify import random_params
 
 from conftest import leibniz_det, mat_mul, sym_eigenvalues
@@ -133,16 +128,8 @@ def test_stable_flag_is_eigenbasis(sample_params):
 
 def test_eigen_lengths_sample(sample_params):
     rep = build_rep(sample_params)
-    assert eigen_lengths(rep.a, 4) == [F(4), F(4), F(4)]
-    assert eigen_lengths(rep.a, 2) == [F(4)]
-    assert eigen_lengths(rep.b, 3) == [F(4), F(4)]
-    assert eigen_lengths(rep.c, 3) == [F(4), F(4)]
     # rho(c) has trace -5/2, so its leading eigenvalue is negative
     assert eigenvalues(rep.a) == (2, F(1, 2))
     assert eigenvalues(rep.b) == (2, F(1, 2))
     assert eigenvalues(rep.c) == (-2, F(-1, 2))
 
-
-def test_eigen_lengths_rejects_non_hyperbolic():
-    with pytest.raises(ValueError, match="not hyperbolic"):
-        eigen_lengths(SL2Mat(F(1), F(1), F(0), F(1)), 3)
