@@ -4,6 +4,8 @@ roots."""
 
 import json
 import math
+import random
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -95,6 +97,48 @@ def test_log_of_huge_rational():
     assert scalars.log_to_float(x) == pytest.approx(
         400 * math.log(17) - 100 * math.log(5), rel=1e-12
     )
+
+
+def _log_samples():
+    """Positive rationals where a log is easy to get wrong: parameters of
+    float lengths and their products, random rationals, terms of 3000
+    digits, values beyond the float range and values within 10^-24 of 1."""
+    rng = random.Random(11)
+    for _ in range(300):
+        a = Fraction(math.exp(rng.uniform(-40, 40) * 10.0 ** rng.randint(-14, 0)))
+        yield a
+        yield a * Fraction(math.exp(rng.uniform(-3, 3)))
+        yield Fraction(rng.randint(1, 10 ** rng.randint(1, 40)),
+                       rng.randint(1, 10 ** rng.randint(1, 40)))
+    for _ in range(20):
+        yield Fraction(rng.randint(10 ** 2999, 10 ** 3000), rng.randint(10 ** 2999, 10 ** 3000))
+        yield Fraction(rng.randint(1, 10 ** 3000), rng.randint(1, 10 ** 300))
+        yield Fraction(rng.randint(1, 10 ** 300), rng.randint(1, 10 ** 3000))
+    for e in range(1, 30):
+        yield 1 + Fraction(1, 10 ** e)
+        yield 1 - Fraction(1, 10 ** e)
+        yield Fraction(3) ** e
+        yield Fraction(2) ** (50 * e)
+
+
+def test_log_within_four_ulps_of_a_decimal_reference():
+    with localcontext() as ctx:
+        ctx.prec = 60
+        for x in _log_samples():
+            if x == 1:
+                continue
+            exact = (Decimal(x.numerator) / Decimal(x.denominator)).ln()
+            error = abs(Decimal(scalars.log_to_float(x)) - exact)
+            assert error <= 4 * Decimal(math.ulp(float(exact))), x
+
+
+def test_length_near_one_keeps_its_digits(capsys):
+    # log(num) - log(den) read alpha = 1 + 10^-24 as lA = 0.0 and
+    # refused the input as a zero boundary length
+    alpha = Fraction(10 ** 24 + 1, 10 ** 24)
+    code, out, err = run_cli(capsys, ["coords", "--n", "3", "--abc", f"{alpha},1,1/2"])
+    assert code == 0, err
+    assert json.loads(out)["lengths"]["lA"] == 2e-24
 
 
 def test_exact_sqrt():
