@@ -35,9 +35,6 @@ formulas of `bdpants.flags` and differ only in their factors:
     form f(a) g(b) h(c) cancels in every triple ratio, so the triangle
     factor is the constant 1 and serves both triangles.
 
-The formulas evaluate each factor once per call: per leaf for the
-shearing invariants, once for both triangles' invariants.
-
 All arithmetic is over the rationals, so the two paths must agree to
 the last bit; the verification suite and the tests enforce exactly
 that.  The closed forms make the structure of the locus plain: every
