@@ -97,7 +97,7 @@ def det_x(a, b, c):
     return linalg.det(binomials(a + c, a, b, b))
 
 
-def line(n, point):
+def line_coefficients(n, point):
     """Coefficients of (uX + vY)^(n-1) for a point [u : v] of integers."""
     u, v = point
     return [math.comb(n - 1, k) * u ** (n - 1 - k) * v ** k for k in range(n)]

@@ -27,15 +27,23 @@ from bdpants.pants import (
     PantsParams,
     ProjPoint,
     boundary_matrix,
-    eigenvalues,
     build_rep,
+    eigenvalues,
     leaf_quadruple,
     params_from_lengths,
     triangle_vertices,
 )
 from bdpants.veronese import flag_curve
 from bdpants.verify import random_params
-from conftest import binomials, det_x, det_y, line, macmahon_x, sum_y, superfactorials
+from conftest import (
+    binomials,
+    det_x,
+    det_y,
+    line_coefficients,
+    macmahon_x,
+    sum_y,
+    superfactorials,
+)
 
 F = Fraction
 
@@ -134,7 +142,7 @@ def test_shearing_monomial_is_the_reference_sum():
     for n in range(2, MAX_N + 1):
         bits = 2 * n
         point = (1, 1 << bits)
-        reference_line = line(n, point)
+        reference_line = line_coefficients(n, point)
         for leaf in LEAVES:
             for i in range(n):
                 monomial = _form_coefficients(_y(leaf, n, point, i), bits, n - 1)
@@ -191,7 +199,7 @@ def test_shearing_factors_match_bordered_determinants():
         for n in range(2, 13):
             for leaf in LEAVES:
                 third, fourth = points[leaf]
-                lines = line(n, third), line(n, fourth)
+                lines = line_coefficients(n, third), line_coefficients(n, fourth)
                 for i in range(n):
                     y, yprime = _y(leaf, n, third, i), _y(leaf, n, fourth, i)
                     ydet, yprime_det = (det_y(leaf, n, w, i) for w in lines)
