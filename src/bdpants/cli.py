@@ -22,9 +22,9 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import json
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from . import __version__
 from .coords import MAX_N, CoordinateVector, assemble_phi, polytope_check, tau_index_tuples
@@ -138,6 +138,42 @@ def _csv_row(lengths: PantsLengths, params: PantsParams, coords: CoordinateVecto
     return header, row
 
 
+def _json_scalar(value) -> str:
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, (int, float)):
+        return repr(value)
+    raise TypeError(f"not JSON serializable: {value!r}")
+
+
+def _json_parts(value, parts: list, pad: str = "\n") -> None:
+    """Append the text of `json.dumps(value, indent=2)` to parts, with
+    pad (a line break and the indent) opening each nested line.  The
+    standard library's indented encoder is pure Python and leaves its
+    closures in reference cycles on every call; this one leaves none."""
+    if isinstance(value, dict):
+        opening, closing = "{}"
+        items = [(encode_basestring_ascii(k) + ": ", v) for k, v in value.items()]
+    elif isinstance(value, list):
+        opening, closing = "[]"
+        items = [("", v) for v in value]
+    else:
+        parts.append(_json_scalar(value))
+        return
+    if not items:
+        parts.append(opening + closing)
+        return
+    inner = pad + "  "
+    sep = opening + inner
+    for prefix, item in items:
+        parts.append(sep + prefix)
+        _json_parts(item, parts, inner)
+        sep = "," + inner
+    parts.append(pad + closing)
+
+
 @contextlib.contextmanager
 def _output(path):
     """Standard output, or the file at path, closed on leaving."""
@@ -162,10 +198,10 @@ def cmd_coords(args) -> int:
     if args.format == "csv":
         _write_csv(args.out, [_csv_row(lengths, params, coords)])
         return 0
-    document = _coords_document(params, lengths, mode, coords)
+    parts = []
+    _json_parts(_coords_document(params, lengths, mode, coords), parts)
     with _output(args.out) as out:
-        json.dump(document, out, indent=2)
-        out.write("\n")
+        out.write("".join(parts) + "\n")
     return 0
 
 

@@ -233,6 +233,9 @@ class ProjPoint:
             return NotImplemented
         return (self.u, self.v) == (other.u, other.v)
 
+    def __hash__(self):
+        return hash((self.u, self.v))
+
     def __repr__(self):
         if self.is_infinity:
             return "ProjPoint(inf)"

@@ -22,9 +22,10 @@ from __future__ import annotations
 import random
 from collections import namedtuple
 from fractions import Fraction
+from functools import cache, partial
 
 from .coords import assemble_phi, boundary_sum_R, tau_index_tuples
-from .flags import Flag, apply_matrix, flags_equal, is_generic, triple_ratios_exp
+from .flags import Flag, _cleared, apply_matrix, flags_equal, is_generic, triple_ratios_exp
 from .pants import (
     BOUNDARIES,
     LEAVES,
@@ -32,6 +33,7 @@ from .pants import (
     PantsLengths,
     PantsParams,
     ProjPoint,
+    SL2Mat,
     boundary_matrix,
     build_rep,
     check_domain,
@@ -62,7 +64,8 @@ CHECK_NAMES = (
 
 
 # the largest max_n accepted: verify runs the generic path and the flag
-# checks at every rank up to it, about half a minute at 12 and 25 samples
+# checks at every rank up to it, about 26 s at 12 and 25 samples (2-core
+# machine, Python 3.11.7)
 VERIFY_MAX_N = 12
 
 
@@ -172,11 +175,14 @@ def run_verification(config: VerifyConfig) -> dict:
 
         for n in ns:
             nctx = f"n={n} params={ctx}"
-            _check_equivariance(results["equivariance"], rep, n, rng, nctx)
-            _check_stable_flag(results["stable_flag"], rep, n, nctx)
-            _check_genericity(results["genericity"], params, n, nctx)
+            # each boundary point's flag is built once per sample and rank;
+            # no check compares two flags of the same point
+            curve = cache(partial(flag_curve, n=n))
+            _check_equivariance(results["equivariance"], rep, n, curve, rng, nctx)
+            _check_stable_flag(results["stable_flag"], rep, n, curve, nctx)
+            _check_genericity(results["genericity"], params, curve, nctx)
             _check_triple_symmetry(results["triple_ratio_symmetry"], rng, n, nctx)
-            _check_rotation(results["triangle_rotation"], params, n, nctx)
+            _check_rotation(results["triangle_rotation"], params, n, curve, nctx)
 
             generic = assemble_phi(n, params, "generic")
             closed = assemble_phi(n, params, "closed_form")
@@ -230,32 +236,39 @@ def _check_fixed_points(result, params, rep, ctx):
     )
 
 
-def _check_equivariance(result, rep, n, rng, ctx):
+def _integer_multiple(m: SL2Mat) -> SL2Mat:
+    """D m as ints, with D the LCM of the entries' denominators.  Not in
+    SL_2, but its symmetric power D^(n-1) sym_power(m) moves every flag
+    exactly as sym_power(m) does, and has int entries."""
+    return SL2Mat(*_cleared((m.a, m.b, m.c, m.d)))
+
+
+def _check_equivariance(result, rep, n, curve, rng, ctx):
     points = [random_point(rng) for _ in range(2)]
     for mat in (rep.a, rep.b, rep.c):
-        power = sym_power(mat, n)
+        power = sym_power(_integer_multiple(mat), n)
         for x in points:
-            lhs = apply_matrix(power, flag_curve(x, n))
-            rhs = flag_curve(mobius_apply(mat, x), n)
+            lhs = apply_matrix(power, curve(x))
+            rhs = curve(mobius_apply(mat, x))
             ok = flags_equal(lhs, rhs)
             result.record(ok, f"{ctx} point={x}: equivariance fails")
             if not ok:
                 return
 
 
-def _check_stable_flag(result, rep, n, ctx):
+def _check_stable_flag(result, rep, n, curve, ctx):
     for name, mat in (("a", rep.a), ("b", rep.b), ("c", rep.c)):
         att, _ = fixed_points(mat)
-        ok = flags_equal(flag_curve(att, n), stable_flag(mat, n))
+        ok = flags_equal(curve(att), stable_flag(mat, n))
         result.record(ok, f"{ctx} generator {name}: stable flag mismatch")
 
 
-def _check_genericity(result, params, n, ctx):
+def _check_genericity(result, params, curve, ctx):
     for leaf in LEAVES:
-        flags = [flag_curve(x, n) for x in leaf_quadruple(params, leaf)]
+        flags = [curve(x) for x in leaf_quadruple(params, leaf)]
         result.record(is_generic(flags), f"{ctx} leaf {leaf}: quadruple not generic")
     for tri in TRIANGLES:
-        flags = [flag_curve(x, n) for x in triangle_vertices(params, tri)]
+        flags = [curve(x) for x in triangle_vertices(params, tri)]
         result.record(is_generic(flags), f"{ctx} triangle {tri}: triple not generic")
 
 
@@ -278,13 +291,13 @@ def _check_triple_symmetry(result, rng, n, ctx):
         )
 
 
-def _check_rotation(result, params, n, ctx):
+def _check_rotation(result, params, n, curve, ctx):
     tuples = tau_index_tuples(n)
     if not tuples:
         result.record(True)
         return
     for tri in TRIANGLES:
-        e, f, g = [flag_curve(x, n) for x in triangle_vertices(params, tri)]
+        e, f, g = [curve(x) for x in triangle_vertices(params, tri)]
         base = triple_ratios_exp(e, f, g, tuples)
         rot1 = triple_ratios_exp(f, g, e, [(q, r, p) for (p, q, r) in tuples])
         rot2 = triple_ratios_exp(g, e, f, [(r, p, q) for (p, q, r) in tuples])

@@ -17,7 +17,10 @@ The flag basis fixed here takes (uX + vY)^{n-i} X^{i-1} as the i-th
 vector, which spans correctly for every point with v != 0 and
 degenerates only at infinity, where the monomials X^{n-i} Y^{i-1}
 take over.  A `ProjPoint` is a coprime integer pair, so these flags
-are integer from the start; `sym_power` of a rational matrix is not.
+are integer from the start.  `sym_power` of a rational matrix is not;
+`bdpants.verify` first scales the 2x2 matrix by the LCM D of its
+denominators, which scales its symmetric power by D^(n-1) and leaves
+its action on flags unchanged.
 """
 
 from __future__ import annotations
@@ -45,7 +48,9 @@ def sym_power(m: SL2Mat, n: int):
     """Matrix of the degree-(n-1) symmetric power action, as rows.
 
     The result is a homomorphic image of SL_2 with determinant one; for
-    n = 2 it is the input matrix itself.
+    n = 2 it is the input matrix itself.  Entries are homogeneous of
+    degree n - 1 in the matrix entries, so the power of t m is
+    t^(n-1) times the power of m.
     """
     if n < 2:
         raise ValueError(f"symmetric power needs n >= 2, got {n}")

@@ -47,10 +47,13 @@ def test_coords_float_lengths(capsys):
 
 
 def test_coords_json_round_trip_idempotent(capsys):
-    code, out, _ = run_cli(capsys, ["--n", "3", "--abc", "5/2,2,1/3"])
-    assert code == 0
-    reserialized = json.dumps(json.loads(out), indent=2) + "\n"
-    assert reserialized == out
+    # the output is byte-equal to the standard library's indented JSON
+    for n in (2, 3, 10, 64):
+        for mode in ("exact", "float"):
+            code, out, _ = run_cli(capsys, ["--n", str(n), "--abc", "5/2,2,1/3", "--mode", mode])
+            assert code == 0
+            reserialized = json.dumps(json.loads(out), indent=2) + "\n"
+            assert reserialized == out
 
 
 def test_coords_rejects_small_n(capsys):
@@ -359,11 +362,10 @@ def test_coords_lengths_with_alpha_beta_at_most_one_named(capsys):
 
 
 def test_calls_leave_no_garbage_cycles(capsys):
-    # JSON output is left out: the standard library's indented encoder
-    # leaves cycles of its own
     gc.collect()
     gc.disable()
     try:
+        assert main(["--n", "3", "--abc", "5/2,2,1/3"]) == 0
         assert main(["--n", "3", "--abc", "5/2,2,1/3", "--format", "csv"]) == 0
         assert main(["sweep", "--n", "3", "--grid", "lA:1:2:2,lB:1:1:1,lC:1:1:1"]) == 0
         assert main(["verify", "--samples", "1", "--max-n", "3"]) == 0

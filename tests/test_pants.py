@@ -115,6 +115,12 @@ def test_group_relation_random():
         assert prod == SL2Mat(F(1), F(0), F(0), F(1))
 
 
+def test_proj_point_hash_matches_equality():
+    assert hash(ProjPoint(2, 4)) == hash(ProjPoint.of(F(1, 2)))
+    assert hash(ProjPoint(-3, 0)) == hash(ProjPoint.infinity())
+    assert len({ProjPoint(1, 3), ProjPoint(-2, -6), ProjPoint.of(F(1, 3))}) == 1
+
+
 def test_c_fixes_one(sample_params):
     rep = build_rep(sample_params)
     one = ProjPoint.of(F(1))

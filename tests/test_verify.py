@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from bdpants import PantsParams, linalg
+from bdpants import PantsParams, flags, linalg, verify
 from bdpants.coords import assemble_phi
+from bdpants.veronese import flag_curve, sym_power
 from bdpants.verify import (
     CHECK_NAMES,
     VERIFY_MAX_N,
@@ -15,6 +16,8 @@ from bdpants.verify import (
     random_params,
     run_verification,
 )
+
+from conftest import run_cli
 
 
 def test_run_verification_exact_passes():
@@ -97,3 +100,58 @@ def test_kernel_sees_only_integer_matrices(monkeypatch):
         assemble_phi(n, PantsParams(Fraction(5, 2), 2, Fraction(1, 3)), "generic")
     assert len(seen) > 1000
     assert all(type(x) is int for rows in seen for row in rows for x in row)
+
+
+def test_equivariance_moves_flags_by_integer_matrices(monkeypatch):
+    seen = []
+
+    def recording(m, flag):
+        seen.append(m)
+        return flags.apply_matrix(m, flag)
+
+    monkeypatch.setattr(verify, "apply_matrix", recording)
+    for exact in (True, False):
+        assert all_passed(run_verification(VerifyConfig(samples=2, seed=3, max_n=4, exact=exact)))
+    # modes, samples, ranks, generators, points
+    assert len(seen) == 2 * 2 * 3 * 3 * 2
+    assert all(type(x) is int for m in seen for row in m for x in row)
+
+
+def test_planted_sym_power_fault_fails_equivariance(monkeypatch, capsys):
+    def faulty(m, n):
+        power = sym_power(m, n)
+        power[n - 1][0] += 1
+        return power
+
+    monkeypatch.setattr(verify, "sym_power", faulty)
+    code, out, _ = run_cli(capsys, ["verify", "--samples", "2", "--max-n", "4"])
+    assert code == 1
+    failing = [line.split()[0] for line in out.splitlines() if "FIRST FAILURE" in line]
+    assert failing == ["equivariance"]
+
+
+def test_flag_curve_built_once_per_point_and_rank(monkeypatch):
+    # one entry per flag_curve call, and None where a sample starts
+    calls = []
+
+    def recording(x, n):
+        calls.append((x.u, x.v, n))
+        return flag_curve(x, n)
+
+    def marking(rng, exact=True):
+        calls.append(None)
+        return random_params(rng, exact)
+
+    monkeypatch.setattr(verify, "flag_curve", recording)
+    monkeypatch.setattr(verify, "random_params", marking)
+    for exact in (True, False):
+        assert all_passed(run_verification(VerifyConfig(samples=2, seed=5, max_n=4, exact=exact)))
+    samples = []
+    for call in calls:
+        if call is None:
+            samples.append([])
+        else:
+            samples[-1].append(call)
+    assert len(samples) == 4
+    for sample in samples:
+        assert sample and len(sample) == len(set(sample))

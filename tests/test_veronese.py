@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -6,7 +7,7 @@ from bdpants import linalg
 from bdpants.flags import apply_matrix, flags_equal
 from bdpants.pants import ProjPoint, SL2Mat, build_rep, eigenvalues, fixed_points, mobius_apply
 from bdpants.veronese import flag_curve, stable_flag, sym_power
-from bdpants.verify import random_params
+from bdpants.verify import _integer_multiple, random_flag, random_params
 
 from conftest import leibniz_det, mat_mul, sym_eigenvalues
 
@@ -56,6 +57,24 @@ def test_homomorphism_property(rng):
             assert sym_power(m.mul(k), n) == mat_mul(
                 sym_power(m, n), sym_power(k, n)
             )
+
+
+def test_sym_power_of_integer_multiple(rng):
+    # verify moves flags by sym_power(D m), with D the LCM of m's
+    # denominators: D^(n-1) sym_power(m), all-int, same action on flags
+    for _ in range(8):
+        m = _random_sl2(rng)
+        entries = (m.a, m.b, m.c, m.d)
+        d = math.lcm(*[x.denominator for x in entries])
+        scaled = _integer_multiple(m)
+        assert (scaled.a, scaled.b, scaled.c, scaled.d) == tuple(d * x for x in entries)
+        for n in range(2, 9):
+            power = sym_power(scaled, n)
+            exact = sym_power(m, n)
+            assert all(type(x) is int for row in power for x in row)
+            assert power == [[d ** (n - 1) * x for x in row] for row in exact]
+            flag = random_flag(rng, n)
+            assert flags_equal(apply_matrix(power, flag), apply_matrix(exact, flag))
 
 
 def test_determinant_one(rng):
