@@ -41,7 +41,6 @@ from .pants import (
     SL2Mat,
     boundary_matrix,
     build_rep,
-    check_domain,
     eigenvalues,
     fixed_points,
     leaf_quadruple,

@@ -47,7 +47,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 
 from .flags import _double_ratios, _triple_ratios, double_ratios_exp, triple_ratios_exp
 from .pants import (
@@ -116,20 +116,15 @@ class CoordinateVector(namedtuple("CoordinateVector", "n sigma tau")):
 
     __slots__ = ()
 
-    def count(self) -> int:
-        return sum(len(v) for v in self.sigma.values()) + sum(
-            len(v) for v in self.tau.values()
-        )
-
     def labeled_entries(self):
         """(label, value) pairs in the canonical order: shearing
         h_AB, h_BC, h_CA with p ascending, then triangles T0, T1 with
         (p, q, r) lexicographic."""
         for leaf in LEAVES:
-            for p, value in enumerate(self.sigma.get(leaf, ()), start=1):
+            for p, value in enumerate(self.sigma[leaf], start=1):
                 yield f"sigma_{leaf.replace('_', '')}_p{p}", value
         for tri in TRIANGLES:
-            entries = self.tau.get(tri, {})
+            entries = self.tau[tri]
             for (p, q, r) in sorted(entries):
                 yield f"tau_{tri}_p{p}q{q}r{r}", entries[(p, q, r)]
 
@@ -145,11 +140,13 @@ def assemble_phi(n: int, params: PantsParams, method: str = "closed_form") -> Co
     sigma = {}
     tau = {}
     if method == "generic":
+        # a boundary point is a vertex of several leaves and triangles
+        curve = cache(partial(flag_curve, n=n))
         for leaf in LEAVES:
-            flags = [flag_curve(x, n) for x in leaf_quadruple(params, leaf)]
+            flags = [curve(x) for x in leaf_quadruple(params, leaf)]
             sigma[leaf] = tuple(double_ratios_exp(*flags, range(1, n)))
         for tri in TRIANGLES:
-            flags = [flag_curve(x, n) for x in triangle_vertices(params, tri)]
+            flags = [curve(x) for x in triangle_vertices(params, tri)]
             tau[tri] = triple_ratios_exp(*flags, tuples)
     elif method == "closed_form":
         points = _leaf_points(params)
@@ -199,21 +196,13 @@ def boundary_sum_R(coords: CoordinateVector, boundary: str, p: int) -> Fraction:
 
 
 def polytope_check(coords: CoordinateVector) -> dict:
-    """Membership report for the coordinate polytope: positivity of all
-    entries, positivity of every boundary length sum, and the entry
-    count n^2 - 1.  Report-only."""
-    n = coords.n
-    positive = all(value > 0 for _, value in coords.labeled_entries())
-    try:
-        lengths_positive = all(
+    """Membership report for the coordinate polytope: every boundary
+    length sum exceeds 1.  Entry positivity needs no report, as
+    `assemble_phi` refuses a non-positive entry.  Report-only."""
+    return {
+        "length_positivity": all(
             boundary_sum_R(coords, boundary, p) > 1
             for boundary in BOUNDARY_LEAVES
-            for p in range(1, n)
+            for p in range(1, coords.n)
         )
-    except (KeyError, IndexError):
-        lengths_positive = False
-    return {
-        "positive_entries": positive,
-        "length_positivity": lengths_positive,
-        "entry_count": coords.count() == n * n - 1,
     }

@@ -68,9 +68,8 @@ class PantsParams(namedtuple("PantsParams", "alpha beta gamma")):
     """The (alpha, beta, gamma) triple; see the module docstring.
 
     Every field is stored as `Fraction(x)` (exact for ints, Fractions
-    and finite floats).  Construction does not validate, so that
-    out-of-domain triples can be fed to `check_domain`; everything that
-    builds geometry from a triple calls `validate_params` first.
+    and finite floats).  Construction does not validate; everything
+    that builds geometry from a triple calls `validate_params` first.
     """
 
     __slots__ = ()
@@ -137,31 +136,6 @@ def lengths_from_params(params: PantsParams) -> PantsLengths:
         lB=-2 * log_to_float(params.gamma),
         lC=2 * log_to_float(params.alpha * params.beta),
     )
-
-
-def check_domain(params: PantsParams) -> dict:
-    """Report, per inequality, whether the triple lies in the domain cut
-    out by the fixed-point ordering of the normalized representation.
-
-    The first three are the defining conditions; the last three are the
-    positional inequalities of the repelling fixed points, rewritten
-    polynomially.  Report-only: nothing raises.
-    """
-    a, b, g = params.alpha, params.beta, params.gamma
-    report = {
-        "alpha > 1": bool(a > 1),
-        "beta > 0": bool(b > 0),
-        "0 < gamma < 1": bool(0 < g < 1),
-    }
-    if b != 0 and g != 0:
-        report["1/beta + 1/gamma > 0"] = bool(1 / b + 1 / g > 0)
-        report["1/beta + gamma > 0"] = bool(1 / b + g > 0)
-        report["alpha^2*beta > 1/beta"] = bool(a * a * b > 1 / b)
-    else:
-        report["1/beta + 1/gamma > 0"] = False
-        report["1/beta + gamma > 0"] = False
-        report["alpha^2*beta > 1/beta"] = False
-    return report
 
 
 # ---------------------------------------------------------------------------

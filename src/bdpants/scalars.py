@@ -15,6 +15,10 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+# fdlibm's split of log 2; LN2_HI ends in 21 zero bits, so k * LN2_HI is exact
+LN2_HI = float.fromhex("0x1.62e42fee00000p-1")
+LN2_LO = float.fromhex("0x1.a39ef35793c76p-33")
+
 
 def log_to_float(x: Fraction) -> float:
     """Natural log of a positive rational, as float64, within a few ulps.
@@ -22,7 +26,8 @@ def log_to_float(x: Fraction) -> float:
     Int true division rounds num / den once.  Near 1 the log is log1p of
     (num - den) / den, so no digit cancels.  Beyond the float range
     num / den is first scaled by 2^-k into (1/2, 2), and k log 2 is
-    added back, so arbitrarily large rationals do not overflow.
+    added back as the exact k * LN2_HI plus a small rest, so arbitrarily
+    large rationals do not overflow.
     """
     n, d = x.numerator, x.denominator
     if n <= 0:
@@ -33,7 +38,7 @@ def log_to_float(x: Fraction) -> float:
     if abs(k) < 1000:
         return math.log(n / d)
     y = n / (d << k) if k > 0 else (n << -k) / d
-    return math.log(y) + k * math.log(2)
+    return k * LN2_HI + (math.log(y) + k * LN2_LO)
 
 
 def exact_sqrt(x: Fraction) -> Fraction:

@@ -30,13 +30,13 @@ from .pants import (
     BOUNDARIES,
     LEAVES,
     TRIANGLES,
+    DomainError,
     PantsLengths,
     PantsParams,
     ProjPoint,
     SL2Mat,
     boundary_matrix,
     build_rep,
-    check_domain,
     eigenvalues,
     fixed_points,
     leaf_quadruple,
@@ -169,7 +169,7 @@ def run_verification(config: VerifyConfig) -> dict:
         ctx = _fmt_params(params)
         rep = build_rep(params)
 
-        _check_domain(results["domain_inequalities"], params, ctx)
+        _check_in_domain(results["domain_inequalities"], params, ctx)
         _check_group_relation(results["group_relation"], rep, ctx)
         _check_fixed_points(results["fixed_point_formulas"], params, rep, ctx)
 
@@ -182,10 +182,10 @@ def run_verification(config: VerifyConfig) -> dict:
             _check_stable_flag(results["stable_flag"], rep, n, curve, nctx)
             _check_genericity(results["genericity"], params, curve, nctx)
             _check_triple_symmetry(results["triple_ratio_symmetry"], rng, n, nctx)
-            _check_rotation(results["triangle_rotation"], params, n, curve, nctx)
 
             generic = assemble_phi(n, params, "generic")
             closed = assemble_phi(n, params, "closed_form")
+            _check_rotation(results["triangle_rotation"], params, n, curve, generic, nctx)
             _check_constancy(results["triangle_constancy"], generic, nctx)
             _check_oracle(results["oracle_equivalence"], generic, closed, nctx)
             _check_lengths(results["length_identity"], generic, rep, n, nctx)
@@ -198,10 +198,13 @@ def all_passed(results: dict) -> bool:
     return all(r.failed == 0 for r in results.values())
 
 
-def _check_domain(result, params, ctx):
-    report = check_domain(params)
-    bad = [name for name, ok in report.items() if not ok]
-    result.record(not bad, f"params={ctx}: failed {bad}")
+def _check_in_domain(result, params, ctx):
+    try:
+        validate_params(params)
+    except DomainError as exc:
+        result.record(False, f"params={ctx}: {exc}")
+    else:
+        result.record(True)
 
 
 def _check_group_relation(result, rep, ctx):
@@ -291,14 +294,14 @@ def _check_triple_symmetry(result, rng, n, ctx):
         )
 
 
-def _check_rotation(result, params, n, curve, ctx):
+def _check_rotation(result, params, n, curve, generic, ctx):
     tuples = tau_index_tuples(n)
     if not tuples:
         result.record(True)
         return
     for tri in TRIANGLES:
         e, f, g = [curve(x) for x in triangle_vertices(params, tri)]
-        base = triple_ratios_exp(e, f, g, tuples)
+        base = generic.tau[tri]
         rot1 = triple_ratios_exp(f, g, e, [(q, r, p) for (p, q, r) in tuples])
         rot2 = triple_ratios_exp(g, e, f, [(r, p, q) for (p, q, r) in tuples])
         for (p, q, r) in tuples:

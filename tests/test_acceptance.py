@@ -244,7 +244,7 @@ def test_criterion_6_structural_relations():
 def test_criterion_7_dimension():
     """The coordinate vector has exactly n^2 - 1 entries, n = 2..10."""
     params = PantsParams(*SAMPLE)
-    counts = {n: assemble_phi(n, params).count() for n in range(2, 11)}
+    counts = {n: len(list(assemble_phi(n, params).labeled_entries())) for n in range(2, 11)}
     ok = all(count == n * n - 1 for n, count in counts.items())
     _report(7, ok, f"entry counts {counts}")
 

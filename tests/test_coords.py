@@ -295,13 +295,13 @@ def test_oracle_equivalence_small():
 
 def test_assemble_phi_sample_n2(sample_params):
     coords = assemble_phi(2, sample_params)
-    assert coords.count() == 3
+    assert len(list(coords.labeled_entries())) == 3
     assert [v for _, v in coords.labeled_entries()] == [F(2), F(2), F(2)]
 
 
 def test_assemble_phi_sample_n3(sample_params):
     coords = assemble_phi(3, sample_params)
-    assert coords.count() == 8
+    assert len(list(coords.labeled_entries())) == 8
     values = dict(coords.labeled_entries())
     for leaf in ("hAB", "hBC", "hCA"):
         assert values[f"sigma_{leaf}_p1"] == 2
@@ -312,7 +312,7 @@ def test_assemble_phi_sample_n3(sample_params):
 
 def test_assemble_phi_entry_counts(sample_params):
     for n in range(2, 11):
-        assert assemble_phi(n, sample_params).count() == n * n - 1
+        assert len(list(assemble_phi(n, sample_params).labeled_entries())) == n * n - 1
 
 
 def test_assemble_rejects_unknown_method(sample_params):
@@ -367,12 +367,7 @@ def test_triangle_constancy():
 
 def test_polytope_check_passes(sample_params):
     coords = assemble_phi(3, sample_params)
-    report = polytope_check(coords)
-    assert report == {
-        "positive_entries": True,
-        "length_positivity": True,
-        "entry_count": True,
-    }
+    assert polytope_check(coords) == {"length_positivity": True}
 
 
 def test_polytope_check_flags_flat_sigma(sample_params):
@@ -382,22 +377,7 @@ def test_polytope_check_flags_flat_sigma(sample_params):
         sigma={leaf: (F(1), F(1)) for leaf in LEAVES},
         tau=coords.tau,
     )
-    report = polytope_check(flat)
-    assert report["positive_entries"] is True
-    assert report["length_positivity"] is False
-    assert report["entry_count"] is True
-
-
-def test_polytope_check_flags_missing_entry(sample_params):
-    coords = assemble_phi(3, sample_params)
-    missing = CoordinateVector(
-        n=3,
-        sigma=coords.sigma,
-        tau={"T0": {}, "T1": dict(coords.tau["T1"])},
-    )
-    report = polytope_check(missing)
-    assert report["entry_count"] is False
-    assert report["length_positivity"] is False
+    assert polytope_check(flat)["length_positivity"] is False
 
 
 def test_positivity_guard_trips_on_bad_factor(sample_params, monkeypatch):
@@ -416,6 +396,22 @@ def test_positivity_guard_trips_on_bad_factor(sample_params, monkeypatch):
     monkeypatch.setattr(coords_mod, "_leaf_points", slipped)
     with pytest.raises(PositivityViolationError, match="positivity violation"):
         assemble_phi(3, sample_params, "closed_form")
+
+
+def test_generic_path_builds_each_flag_once(sample_params, monkeypatch):
+    import bdpants.coords as coords_mod
+
+    # the 18 vertices of the three leaf quadruples and two triangles are
+    # six boundary points
+    calls = []
+
+    def recording(x, n):
+        calls.append((x, n))
+        return flag_curve(x, n)
+
+    monkeypatch.setattr(coords_mod, "flag_curve", recording)
+    assemble_phi(5, sample_params, "generic")
+    assert len(calls) == len(set(calls)) == 6
 
 
 def test_float_backend_matches_logs():

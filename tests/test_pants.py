@@ -13,7 +13,6 @@ from bdpants.pants import (
     ProjPoint,
     SL2Mat,
     build_rep,
-    check_domain,
     eigenvalues,
     fixed_points,
     leaf_quadruple,
@@ -197,14 +196,6 @@ def test_fixed_points_rejects_non_hyperbolic():
 def test_eigenvalues_rejects_parabolic():
     with pytest.raises(ValueError, match="not hyperbolic"):
         eigenvalues(SL2Mat(F(1), F(1), F(0), F(1)))
-
-
-def test_check_domain_reports(sample_params):
-    assert all(check_domain(sample_params).values())
-    report = check_domain(PantsParams(F(1, 2), F(1), F(1, 2)))
-    assert not report["alpha > 1"]
-    report = check_domain(PantsParams(F(2), F(-1), F(1, 2)))
-    assert not report["beta > 0"]
 
 
 def test_lamination_data(sample_params):

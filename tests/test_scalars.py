@@ -132,6 +132,21 @@ def test_log_within_four_ulps_of_a_decimal_reference():
             assert error <= 4 * Decimal(math.ulp(float(exact))), x
 
 
+def test_log_beyond_float_range_within_half_an_ulp():
+    # k log 2 added as one rounded product was up to 1.24 ulps off here
+    rng = random.Random(1)
+    with localcontext() as ctx:
+        ctx.prec = 60
+        for _ in range(300):
+            small = rng.randint(1, 200)
+            big = small + rng.randint(1000, 6000)
+            num, den = (rng.getrandbits(b) | 1 << (b - 1) for b in (big, small))
+            x = Fraction(num, den) if rng.random() < 0.5 else Fraction(den, num)
+            exact = (Decimal(x.numerator) / Decimal(x.denominator)).ln()
+            error = abs(Decimal(scalars.log_to_float(x)) - exact)
+            assert error <= Decimal("0.51") * Decimal(math.ulp(float(exact))), x
+
+
 def test_length_near_one_keeps_its_digits(capsys):
     # log(num) - log(den) read alpha = 1 + 10^-24 as lA = 0.0 and
     # refused the input as a zero boundary length

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from bdpants import PantsParams, flags, linalg, verify
+from bdpants import TRIANGLES, PantsParams, flags, linalg, verify
 from bdpants.coords import assemble_phi
 from bdpants.veronese import flag_curve, sym_power
 from bdpants.verify import (
@@ -155,3 +155,31 @@ def test_flag_curve_built_once_per_point_and_rank(monkeypatch):
     assert len(samples) == 4
     for sample in samples:
         assert sample and len(sample) == len(set(sample))
+
+
+def test_out_of_domain_sample_is_refused(monkeypatch, capsys):
+    # alpha*beta = 1/2: build_rep refuses the triple before any check runs
+    def outside(rng, exact=True):
+        return PantsParams(2, Fraction(1, 4), Fraction(1, 2))
+
+    monkeypatch.setattr(verify, "random_params", outside)
+    code, _, err = run_cli(capsys, ["verify", "--samples", "1", "--max-n", "3"])
+    assert code == 2
+    assert "alpha*beta must exceed 1" in err
+
+
+def test_planted_tau_fault_fails_rotation_and_oracle(monkeypatch, capsys):
+    # triangle_rotation reads the generic triple ratios, so a wrong one
+    # fails it along with the closed-form comparison
+    def planted(n, params, method="closed_form"):
+        coords = assemble_phi(n, params, method)
+        if method == "generic" and n >= 3:
+            for tri in TRIANGLES:
+                coords.tau[tri][(1, 1, n - 2)] *= 2
+        return coords
+
+    monkeypatch.setattr(verify, "assemble_phi", planted)
+    code, out, _ = run_cli(capsys, ["verify", "--samples", "2", "--max-n", "4"])
+    assert code == 1
+    failing = [line.split()[0] for line in out.splitlines() if "FIRST FAILURE" in line]
+    assert failing == ["triangle_rotation", "oracle_equivalence", "length_identity"]
