@@ -6,10 +6,11 @@ determine a Fuchsian representation; embedding it by the symmetric
 power gives a point of the rank-n Hitchin component, whose
 Bonahon-Dreyer coordinates this package evaluates both from the
 definitions (wedge determinants of boundary flags) and from the
-explicit closed form (one monomial per shearing factor, a constant
-triangle factor), checking that the two agree exactly over
-arbitrary-precision rationals.  Float lengths enter as the exact
-dyadic rationals they are; floats come back out only when printed.
+paper's explicit parametrization (three rationals in the parameters for
+the shearing invariants, 1 for every triangle invariant), checking that
+the two agree exactly over arbitrary-precision rationals.  Float
+lengths enter as the exact dyadic rationals they are; floats come back
+out only when printed.
 """
 
 from .coords import (

@@ -7,39 +7,27 @@ ideal triangle and index triple p, q, r >= 1 with p + q + r = n (the log
 of a triple ratio).  Everything here is kept exponentiated; logs appear
 only in output layers.
 
-Two independent evaluation paths feed the same triple- and double-ratio
-formulas of `bdpants.flags` and differ only in their factors:
+Two independent evaluation paths share no ratio code:
 
   * the generic path builds the boundary flags of the representation
-    and takes the factors as wedge determinants of flag prefixes;
-  * the closed-form path takes them from explicit formulas in the
-    parameters (alpha, beta, gamma), one monomial per factor over the
-    integers, with no determinant.  Each factor is defined only up to
-    what cancels in its ratio.  A leaf's Y(i) and Y'(i) are one
-    monomial of degree n-1 in a point [u : v], taken at the leaf's
-    third and fourth vertex, each passed as the integer pair of its
-    value's numerator and denominator:
+    and takes their triple and double ratios, alternating products of
+    wedge determinants of flag prefixes (`bdpants.flags`);
+  * the closed-form path states the paper's parametrization in the
+    parameters (alpha, beta, gamma): for every p the shearing
+    invariants of h_AB, h_BC and h_CA are 1/(beta gamma), beta/gamma
+    and alpha^2 beta gamma, and every triangle invariant is 1.
 
-        h_AB:  C(n-1, i) u^(n-1-i) v^i
-        h_BC:  C(n-1, i) u^i (v-u)^(n-1-i)
-        h_CA:  (-1)^i C(n-1, i) v^(n-1-i) (v-u)^i
-
-    each the one term left of the bordered binomial determinant behind
-    the generic factor, up to a factor of (leaf, n, i) that Y(i) and
-    Y'(i) share.  In every double ratio the binomials and signs cancel,
-    leaving the paper's parametrization 1/(beta gamma), beta/gamma and
-    alpha^2 beta gamma.  Up to a sign and a power of beta*gamma, the
-    triangle factor is MacMahon's count of plane partitions in an
-    a x b x c box, which once a + b + c = n is G(n) h(a) h(b) h(c) with
-    h(k) = G(k) / G(n-k) and G(k) = 0! 1! ... (k-1)!.  A factor of the
-    form f(a) g(b) h(c) cancels in every triple ratio, so the triangle
-    factor is the constant 1 and serves both triangles.
+The tests prove the chain from wedge determinants to these values.
+Each factor of a generic double ratio is a bordered binomial
+determinant; up to what cancels in its ratio it is one monomial in a
+leaf vertex, and the double ratios of these monomials are the three
+rationals at every rank up to MAX_N.  Each factor of a generic triple
+ratio is, up to what cancels, MacMahon's count of plane partitions in a
+box, and its triple ratios are all 1.
 
 All arithmetic is over the rationals, so the two paths must agree to
 the last bit; the verification suite and the tests enforce exactly
-that.  The closed forms make the structure of the locus plain: every
-triangle invariant is 0 (exponentiated: 1) and the shearing invariants
-do not depend on p.
+that.
 """
 
 from __future__ import annotations
@@ -49,7 +37,7 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import cache, partial
 
-from .flags import _double_ratios, _triple_ratios, double_ratios_exp, triple_ratios_exp
+from .flags import double_ratios_exp, triple_ratios_exp
 from .pants import (
     BOUNDARY_LEAVES,
     LEAVES,
@@ -61,8 +49,8 @@ from .pants import (
 )
 from .veronese import flag_curve
 
-# the largest rank accepted: the output grows as n^2 (313 kB of JSON at
-# this cap), while the closed form itself is small integer work
+# the largest rank accepted: it bounds the output, which grows as n^2
+# (313 kB of JSON at this cap)
 MAX_N = 64
 
 
@@ -74,34 +62,6 @@ class PositivityViolationError(ArithmeticError):
 def tau_index_tuples(n: int):
     """Valid (p, q, r) triples for rank n, in lexicographic order."""
     return [(p, q, n - p - q) for p in range(1, n - 1) for q in range(1, n - p)]
-
-
-# ---------------------------------------------------------------------------
-# closed-form factors: one monomial per shearing factor, each defined
-# only up to what cancels in its ratio, so a single factor may be
-# negative; every assembled ratio must come out positive, which
-# assemble_phi checks.
-
-def _leaf_points(params: PantsParams) -> dict:
-    """The third and fourth vertex of each leaf's quadruple, as integer
-    pairs (u, v) for [u : v]: Y is taken at the third, Y' at the fourth."""
-    bg = params.beta * params.gamma
-    return {
-        "h_AB": ((-bg).as_integer_ratio(), (1, 1)),
-        "h_BC": ((params.beta / (params.beta + params.gamma)).as_integer_ratio(), (1, 0)),
-        "h_CA": ((params.alpha * params.alpha * bg + 1).as_integer_ratio(), (0, 1)),
-    }
-
-
-def _y(leaf: str, n: int, point, i: int) -> int:
-    """Y(i) of a leaf at the point [u : v], up to a factor of (leaf, n, i)
-    shared with Y'(i): one term of degree n-1 in u and v."""
-    u, v = point
-    if leaf == "h_AB":
-        return math.comb(n - 1, i) * u ** (n - 1 - i) * v ** i
-    if leaf == "h_BC":
-        return math.comb(n - 1, i) * u ** i * (v - u) ** (n - 1 - i)
-    return (-1) ** i * math.comb(n - 1, i) * v ** (n - 1 - i) * (v - u) ** i
 
 
 # ---------------------------------------------------------------------------
@@ -149,14 +109,10 @@ def assemble_phi(n: int, params: PantsParams, method: str = "closed_form") -> Co
             flags = [curve(x) for x in triangle_vertices(params, tri)]
             tau[tri] = triple_ratios_exp(*flags, tuples)
     elif method == "closed_form":
-        points = _leaf_points(params)
-        for leaf in LEAVES:
-            y, yprime = (partial(_y, leaf, n, point) for point in points[leaf])
-            sigma[leaf] = tuple(_double_ratios(y, yprime, n, range(1, n)))
-        # the triangle factor is f(a) g(b) h(c) up to a sign and a power
-        # of beta*gamma, and all of that cancels in every triple ratio
-        ratios = _triple_ratios(lambda a, b, c: 1, n, tuples)
-        tau = {tri: dict(ratios) for tri in TRIANGLES}
+        al, be, ga = params.alpha, params.beta, params.gamma
+        shears = {"h_AB": 1 / (be * ga), "h_BC": be / ga, "h_CA": al * al * be * ga}
+        sigma = {leaf: (shears[leaf],) * (n - 1) for leaf in LEAVES}
+        tau = {tri: dict.fromkeys(tuples, Fraction(1)) for tri in TRIANGLES}
     else:
         raise ValueError(f"unknown method {method!r}")
     coords = CoordinateVector(n=n, sigma=sigma, tau=tau)

@@ -19,9 +19,10 @@ independently computed values can be compared exactly.
 
 Each ratio formula is written once, over factor functions: X(a, b, c)
 for the triple ratio, Y(i) and Y'(i) for the double ratio.  The
-`*_ratios_exp` functions pass wedge determinants of flag prefixes;
-`bdpants.coords` passes its closed-form monomials and constant triangle
-factor to the same formulas.
+`*_ratios_exp` functions pass wedge determinants of flag prefixes.
+The tests pass reference factors (MacMahon's plane-partition count, one
+monomial per shearing factor) to the same formulas, which proves the
+closed form of `bdpants.coords`; that closed form uses none of them.
 
 Genericity of a flag tuple means every dimension-compatible choice of
 prefixes spans: for each way of writing n = n_1 + ... + n_k with

@@ -79,7 +79,7 @@ def binomials(m, shift, nrows, ncols):
 def det_y(leaf, n, line, i):
     """Y(i) of a leaf as a binomial Toeplitz block bordered by a slice of
     the line of its point: the determinant that `sum_y` writes out, equal
-    to it and to `coords._y` up to a factor of (leaf, n, i)."""
+    to it and to `monomial_y` up to a factor of (leaf, n, i)."""
     m, shift, size, start = {
         "h_AB": (0, 0, 1, i),
         "h_BC": (i + 1, 0, n - i, 0),
@@ -97,6 +97,39 @@ def det_x(a, b, c):
     return linalg.det(binomials(a + c, a, b, b))
 
 
+def leaf_points(params):
+    """The third and fourth vertex of each leaf's quadruple, as integer
+    pairs (u, v) for [u : v]: Y is taken at the third, Y' at the fourth."""
+    bg = params.beta * params.gamma
+    return {
+        "h_AB": ((-bg).as_integer_ratio(), (1, 1)),
+        "h_BC": ((params.beta / (params.beta + params.gamma)).as_integer_ratio(), (1, 0)),
+        "h_CA": ((params.alpha * params.alpha * bg + 1).as_integer_ratio(), (0, 1)),
+    }
+
+
+def monomial_y(leaf, n, point, i):
+    """Y(i) of a leaf at the integer point [u : v], up to a factor of
+    (leaf, n, i) shared with Y'(i): one monomial of degree n-1,
+
+        h_AB:  C(n-1, i) u^(n-1-i) v^i
+        h_BC:  C(n-1, i) u^i (v-u)^(n-1-i)
+        h_CA:  (-1)^i C(n-1, i) v^(n-1-i) (v-u)^i
+
+    the one term left of the bordered binomial determinant `det_y`
+    behind the generic factor.  Y is taken at the leaf's third vertex
+    and Y' at its fourth (`leaf_points`).  In every double ratio the
+    binomials and signs cancel, leaving the paper's parametrization
+    1/(beta gamma), beta/gamma and alpha^2 beta gamma.
+    """
+    u, v = point
+    if leaf == "h_AB":
+        return math.comb(n - 1, i) * u ** (n - 1 - i) * v ** i
+    if leaf == "h_BC":
+        return math.comb(n - 1, i) * u ** i * (v - u) ** (n - 1 - i)
+    return (-1) ** i * math.comb(n - 1, i) * v ** (n - 1 - i) * (v - u) ** i
+
+
 def line_coefficients(n, point):
     """Coefficients of (uX + vY)^(n-1) for a point [u : v] of integers."""
     u, v = point
@@ -106,7 +139,7 @@ def line_coefficients(n, point):
 def sum_y(leaf, n, line, i):
     """Y(i) of a leaf at the point with the given line, as the alternating
     sum its bordered determinant `det_y` evaluates to, up to a factor of
-    (leaf, n, i) shared with Y'(i); `coords._y` is its one-term collapse
+    (leaf, n, i) shared with Y'(i); `monomial_y` is its one-term collapse
     (Chu-Vandermonde) and equals it exactly.
 
     The determinant of an s x (s-1) binomial block C(m, r - j) bordered
@@ -134,5 +167,8 @@ def macmahon_x(g, a, b, c):
     """MacMahon's number of plane partitions in an a x b x c box,
     G(a) G(b) G(c) G(a+b+c) / (G(a+b) G(b+c) G(c+a)) with the
     superfactorials g[k] = G(k): the triangle factor, up to a sign and a
-    power of beta*gamma, that `coords` replaces by the constant 1."""
+    power of beta*gamma.  A factor of the form f(a) g(b) h(c) cancels in
+    every triple ratio, and once a + b + c = n this count is such a
+    factor, G(n) h(a) h(b) h(c) with h(k) = G(k) / G(n-k): so every
+    triangle invariant is 1."""
     return g[a] * g[b] * g[c] * g[a + b + c] // (g[a + b] * g[b + c] * g[c + a])

@@ -17,8 +17,8 @@ from bdpants.coords import (
     polytope_check,
     tau_index_tuples,
 )
-from bdpants.coords import MAX_N, _leaf_points, _y  # closed-form internals
-from bdpants.flags import _triple_ratios, double_ratios_exp, triple_ratios_exp
+from bdpants.coords import MAX_N
+from bdpants.flags import _double_ratios, _triple_ratios, double_ratios_exp, triple_ratios_exp
 from bdpants.pants import (
     BOUNDARIES,
     LEAVES,
@@ -39,13 +39,21 @@ from conftest import (
     binomials,
     det_x,
     det_y,
+    leaf_points,
     line_coefficients,
     macmahon_x,
+    monomial_y,
     sum_y,
     superfactorials,
 )
 
 F = Fraction
+
+
+def _shears(params):
+    """The paper's shearing invariant of each leaf, the same for every p."""
+    al, be, ga = params.alpha, params.beta, params.gamma
+    return {"h_AB": 1 / (be * ga), "h_BC": be / ga, "h_CA": al * al * be * ga}
 
 
 def test_tau_index_tuples():
@@ -105,10 +113,10 @@ def test_hbc_closed_form_pieces_n2(sample_params):
     # Y'(0) = -1, each up to the sign Y(i) and Y'(i) share; Y is scaled
     # by v^(n-1) = v for its point [u : v]
     be, ga = sample_params.beta, sample_params.gamma
-    point, fourth = _leaf_points(sample_params)["h_BC"]
+    point, fourth = leaf_points(sample_params)["h_BC"]
     v = point[1]
-    y = partial(_y, "h_BC", 2, point)
-    yprime = partial(_y, "h_BC", 2, fourth)
+    y = partial(monomial_y, "h_BC", 2, point)
+    yprime = partial(monomial_y, "h_BC", 2, fourth)
     assert y(1) == be / (be + ga) * v
     assert yprime(1) == 1
     assert y(0) == ga / (be + ga) * v
@@ -145,14 +153,27 @@ def test_shearing_monomial_is_the_reference_sum():
         reference_line = line_coefficients(n, point)
         for leaf in LEAVES:
             for i in range(n):
-                monomial = _form_coefficients(_y(leaf, n, point, i), bits, n - 1)
+                monomial = _form_coefficients(monomial_y(leaf, n, point, i), bits, n - 1)
                 reference = _form_coefficients(sum_y(leaf, n, reference_line, i), bits, n - 1)
                 assert monomial == reference
 
 
+def test_monomial_double_ratios_are_the_closed_form():
+    # the chain from the monomials to the shears `coords` states, at
+    # every rank: the binomials and signs cancel in each double ratio
+    for params in (PantsParams(F(5, 2), 2, F(1, 3)),
+                   params_from_lengths(PantsLengths(0.5, 3.0, 2.375))):
+        shears = _shears(params)
+        points = leaf_points(params)
+        for n in range(2, MAX_N + 1):
+            for leaf in LEAVES:
+                y, yprime = (partial(monomial_y, leaf, n, point) for point in points[leaf])
+                assert _double_ratios(y, yprime, n, range(1, n)) == [shears[leaf]] * (n - 1)
+
+
 def test_reference_triangle_factor_ratios_are_one():
-    # MacMahon's count is f(a) g(b) h(c) once a + b + c = n, so the
-    # constant 1 that replaces it gives the same triple ratios
+    # MacMahon's count is f(a) g(b) h(c) once a + b + c = n, so its
+    # triple ratios are the closed form's tau = 1
     for n in (*range(3, 25), MAX_N):
         x = partial(macmahon_x, superfactorials(n))
         tuples = tau_index_tuples(n)
@@ -192,16 +213,16 @@ def _sample_triples():
 
 
 def test_shearing_factors_match_bordered_determinants():
-    # each closed-form Y and Y' is its bordered determinant times one
+    # each monomial Y and Y' is its bordered determinant times one
     # nonzero factor of (leaf, n, i), shared by Y(i) and Y'(i)
     for params in _sample_triples():
-        points = _leaf_points(params)
+        points = leaf_points(params)
         for n in range(2, 13):
             for leaf in LEAVES:
                 third, fourth = points[leaf]
                 lines = line_coefficients(n, third), line_coefficients(n, fourth)
                 for i in range(n):
-                    y, yprime = _y(leaf, n, third, i), _y(leaf, n, fourth, i)
+                    y, yprime = monomial_y(leaf, n, third, i), monomial_y(leaf, n, fourth, i)
                     ydet, yprime_det = (det_y(leaf, n, w, i) for w in lines)
                     assert 0 not in (y, yprime, ydet, yprime_det)
                     assert y * yprime_det == ydet * yprime
@@ -223,8 +244,7 @@ def test_closed_form_takes_no_determinants(monkeypatch, sample_params):
 def test_closed_form_at_the_cap():
     for params in (PantsParams(F(5, 2), 2, F(1, 3)),
                    params_from_lengths(PantsLengths(0.5, 3.0, 2.375))):
-        al, be, ga = params.alpha, params.beta, params.gamma
-        shears = {"h_AB": 1 / (be * ga), "h_BC": be / ga, "h_CA": al * al * be * ga}
+        shears = _shears(params)
         for n in (16, 32, 64):
             coords = assemble_phi(n, params, "closed_form")
             assert coords.sigma == {leaf: (shears[leaf],) * (n - 1) for leaf in LEAVES}
@@ -234,7 +254,7 @@ def test_closed_form_at_the_cap():
 
 def test_leaf_points_match_quadruple():
     for params in _sample_triples():
-        points = _leaf_points(params)
+        points = leaf_points(params)
         for leaf in LEAVES:
             quadruple = leaf_quadruple(params, leaf)
             for point, vertex in zip(points[leaf], quadruple[2:]):
@@ -259,8 +279,7 @@ def test_paths_agree_near_domain_edges(n, da, dg, dab, whole):
     params = PantsParams(alpha, beta, gamma)
     closed = assemble_phi(n, params, "closed_form")
     assert closed == assemble_phi(n, params, "generic")
-    shears = {"h_AB": 1 / (beta * gamma), "h_BC": beta / gamma,
-              "h_CA": alpha * alpha * beta * gamma}
+    shears = _shears(params)
     assert closed.sigma == {leaf: (shears[leaf],) * (n - 1) for leaf in LEAVES}
     assert closed.tau == {tri: dict.fromkeys(tau_index_tuples(n), 1) for tri in TRIANGLES}
 
@@ -383,19 +402,16 @@ def test_polytope_check_flags_flat_sigma(sample_params):
 def test_positivity_guard_trips_on_bad_factor(sample_params, monkeypatch):
     import bdpants.coords as coords_mod
 
-    # a sign slip in a closed-form factor must be caught at assembly:
-    # h_AB's Y taken at beta*gamma in place of -beta*gamma
-    leaf_points = coords_mod._leaf_points
+    # a sign slip in a double ratio must be caught at assembly: the
+    # closed form has no factor left to slip, so slip a generic one
+    def slipped(*args):
+        ratios = double_ratios_exp(*args)
+        ratios[0] = -ratios[0]
+        return ratios
 
-    def slipped(params):
-        points = leaf_points(params)
-        (u, v), fourth = points["h_AB"]
-        points["h_AB"] = ((-u, v), fourth)
-        return points
-
-    monkeypatch.setattr(coords_mod, "_leaf_points", slipped)
+    monkeypatch.setattr(coords_mod, "double_ratios_exp", slipped)
     with pytest.raises(PositivityViolationError, match="positivity violation"):
-        assemble_phi(3, sample_params, "closed_form")
+        assemble_phi(3, sample_params, "generic")
 
 
 def test_generic_path_builds_each_flag_once(sample_params, monkeypatch):

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -183,3 +184,29 @@ def test_planted_tau_fault_fails_rotation_and_oracle(monkeypatch, capsys):
     assert code == 1
     failing = [line.split()[0] for line in out.splitlines() if "FIRST FAILURE" in line]
     assert failing == ["triangle_rotation", "oracle_equivalence", "length_identity"]
+
+
+def _squared(ratios):
+    return [d * d for d in ratios]
+
+
+def _doubled(ratios):
+    return {pqr: 2 * t for pqr, t in ratios.items()}
+
+
+@pytest.mark.parametrize("name, fault", [("_double_ratios", _squared), ("_triple_ratios", _doubled)])
+def test_planted_ratio_formula_fault_fails_oracle_equivalence(monkeypatch, name, fault):
+    # the closed form shares no ratio code with the generic path, so a
+    # fault in a ratio formula reaches only one oracle; the formula is
+    # patched in every bdpants module that binds it, as editing its
+    # source would
+    formula = getattr(flags, name)
+
+    def faulty(*args):
+        return fault(formula(*args))
+
+    for module_name, module in list(sys.modules.items()):
+        if module_name.partition(".")[0] == "bdpants" and getattr(module, name, None) is formula:
+            monkeypatch.setattr(module, name, faulty)
+    results = run_verification(VerifyConfig(samples=2, seed=1, max_n=4))
+    assert results["oracle_equivalence"].failed > 0
