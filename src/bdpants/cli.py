@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import math
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
@@ -41,21 +42,28 @@ from .scalars import log_to_float
 from .verify import CHECK_NAMES, VERIFY_MAX_N, VerifyConfig, all_passed, run_verification
 
 
+def _parse_scalar(text: str, exact: bool):
+    """An exact rational or a float from its text.  A digit separator
+    (Python reads 1_0 as 10) is refused, and so is a float that
+    overflows to inf, by its text."""
+    try:
+        if "_" in text:
+            raise ValueError(text)
+        value = Fraction(text) if exact else float(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"invalid {'exact' if exact else 'float'} scalar {text!r}") from exc
+    if not exact and math.isinf(value) and "inf" not in text.lower():
+        raise ValueError(f"float scalar {text!r} overflows")
+    return value
+
+
 def _parse_triple(text: str, what: str):
     """The three comma-separated values of --abc as exact rationals, or
     of --lengths as floats; the unicode minus sign is accepted."""
     parts = text.split(",")
     if len(parts) != 3:
         raise DomainError(f"{what} needs three comma-separated values, got {text!r}")
-    exact = what == "--abc"
-    values = []
-    for part in parts:
-        part = part.strip().replace("−", "-")
-        try:
-            values.append(Fraction(part) if exact else float(part))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"invalid {'exact' if exact else 'float'} scalar {part!r}") from exc
-    return values
+    return [_parse_scalar(part.strip().replace("−", "-"), what == "--abc") for part in parts]
 
 
 def _resolve_input(args):
@@ -234,14 +242,14 @@ def _parse_grid(text: str):
     axes = {}
     for part in text.split(","):
         pieces = part.split(":")
-        if len(pieces) != 4:
+        if len(pieces) != 4 or "_" in part:
             raise DomainError(f"grid axis must be name:start:stop:steps, got {part!r}")
         name, start, stop, steps = pieces
         if name not in ("lA", "lB", "lC"):
             raise DomainError(f"unknown grid axis {name!r}")
         if name in axes:
             raise DomainError(f"grid axis {name!r} is given twice")
-        start, stop = float(start), float(stop)
+        start, stop = _parse_scalar(start, False), _parse_scalar(stop, False)
         steps = int(steps)
         if steps < 1:
             raise DomainError("grid needs at least one point per axis")

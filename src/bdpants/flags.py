@@ -27,9 +27,11 @@ closed form of `bdpants.coords`; that closed form uses none of them.
 Genericity of a flag tuple means every dimension-compatible choice of
 prefixes spans: for each way of writing n = n_1 + ... + n_k with
 n_i >= 0, the first n_1 vectors of the first flag, the first n_2 of the
-second, and so on, are linearly independent.  The ratio operations do
-not run this full sweep; they only check the products they actually
-divide by, which is cheaper.
+second, and so on, are linearly independent.  These choices form a
+prefix tree, which `is_generic` walks depth first with one pivot list,
+pushing one vector per step (`linalg._push`) and stopping at the first
+dependent partial choice.  The ratio operations only check the
+products they divide by.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cache, partial
-from itertools import combinations
 
 from . import linalg
 
@@ -86,28 +87,35 @@ def apply_matrix(m, flag: Flag) -> Flag:
 
 
 def flags_equal(f: Flag, g: Flag) -> bool:
-    """Subspace-wise equality: every prefix of one lies in the span of
-    the same-length prefix of the other."""
+    """Subspace-wise equality, by one elimination: after the first i
+    vectors of f are pushed, the i-th vector of g must reduce to zero."""
     if f.dim != g.dim:
         return False
-    n = f.dim
-    for i in range(1, n):
-        rows = list(f.prefix(i)) + list(g.prefix(i))
-        if linalg.rank(rows) != i:
+    pivots = []
+    for u, v in zip(f.basis[:-1], g.basis[:-1]):
+        linalg._push(pivots, u)
+        if linalg._push(pivots, v):
             return False
     return True
 
 
-def _compositions(total: int, parts: int):
-    """All ways to write total = n_1 + ... + n_parts with n_i >= 0."""
-    for bars in combinations(range(total + parts - 1), parts - 1):
-        prev = -1
-        comp = []
-        for b in bars:
-            comp.append(b - prev - 1)
-            prev = b
-        comp.append(total + parts - 2 - prev)
-        yield comp
+def _spans(flags, k: int, need: int, pivots: list) -> bool:
+    """Whether the pivot rows and every choice of prefixes of flags[k:],
+    need vectors in all, span R^n; on True the pivots are as found."""
+    basis = flags[k].basis
+    base = len(pivots)
+    if k == len(flags) - 1:
+        for v in basis[:need]:
+            if not linalg._push(pivots, v):
+                return False
+    else:
+        if not _spans(flags, k + 1, need, pivots):
+            return False
+        for m, v in enumerate(basis[:need], 1):
+            if not (linalg._push(pivots, v) and _spans(flags, k + 1, need - m, pivots)):
+                return False
+    del pivots[base:]
+    return True
 
 
 def is_generic(flags) -> bool:
@@ -118,19 +126,13 @@ def is_generic(flags) -> bool:
     n = flags[0].dim
     if any(f.dim != n for f in flags):
         raise ValueError("flags have mismatched dimensions")
-    for comp in _compositions(n, len(flags)):
-        vectors = []
-        for f, ni in zip(flags, comp):
-            vectors.extend(f.prefix(ni))
-        if linalg.det(vectors) == 0:
-            return False
-    return True
+    return _spans(flags, 0, n, [])
 
 
 def _x_factor(e: Flag, f: Flag, g: Flag, a: int, b: int, c: int) -> int:
     """Wedge of the a-, b- and c-prefixes of three flags (a + b + c = n).
     A zero index contributes no vectors."""
-    return linalg.det(list(e.prefix(a)) + list(f.prefix(b)) + list(g.prefix(c)))
+    return linalg.det(e.prefix(a) + f.prefix(b) + g.prefix(c))
 
 
 def _triple_ratios(x, n: int, triples) -> dict:

@@ -1,16 +1,18 @@
-"""Dense exact linear algebra over the integers: one elimination behind
-det and rank.
+"""Dense exact linear algebra over the integers: one row-incremental
+elimination step behind det and the flag checks.
 
 Determinants carry the generic path: there every projective invariant
 is an alternating product of n-by-n wedge determinants of flag
 prefixes (the closed form of `bdpants.coords` takes none).  Entries
 must be ints; `bdpants.flags.Flag` clears the denominators of its basis
-vectors once, where a flag is built.  Both `det` and `rank` run the same
-fraction-free Bareiss elimination on a copy of the rows (every
-intermediate entry is a minor of the matrix, so each division is
-exact), skipping columns that have no pivot.  A non-integer entry
-raises TypeError: the exact divisions would silently go wrong on it.
-Matrices are lists of row lists and sizes stay at desk scale.
+vectors once, where a flag is built.  `_push` takes one row through the
+fraction-free Bareiss steps of the pivot rows taken before it; every
+entry it makes is a minor of the stacked rows (Sylvester's identity),
+so each division is exact.  `det` pushes every row, and
+`bdpants.flags` grows and truncates one pivot list along flag prefixes.
+`det` refuses a non-integer entry of every row it reduces with
+TypeError, as the exact divisions would silently go wrong on it; it
+stops at the first dependent row, whose determinant is 0.
 """
 
 from __future__ import annotations
@@ -18,38 +20,33 @@ from __future__ import annotations
 import operator
 
 
-def _eliminate(m, ncols: int):
-    """Bareiss elimination of the integer rows m in place, skipping
-    columns with no pivot at or below the current row.
+def _push(pivots: list, row) -> bool:
+    """Reduce the int row against the pivots and append it as the next
+    pivot; return False, appending nothing, if it is in their span.
 
-    Returns the rank and the last pivot times the sign of the row
-    swaps, which for a nonsingular square matrix is its determinant.
+    A pivot is (pos, d, rest): its row on the columns no earlier pivot
+    took, split into its first nonzero entry d, the place pos of d, and
+    the rest.  After k steps entry j of the row is the minor of the first
+    k pivot rows and itself on the first k pivot columns and column j.
     """
-    nrows = len(m)
-    sign = 1
+    row = list(row)
     prev = 1
-    r = 0
-    for col in range(ncols):
-        if r == nrows:
-            break
-        if m[r][col] == 0:
-            for i in range(r + 1, nrows):
-                if m[i][col] != 0:
-                    m[r], m[i] = m[i], m[r]
-                    sign = -sign
-                    break
-            else:
-                continue
-        row_r = m[r]
-        pivot = row_r[col]
-        for i in range(r + 1, nrows):
-            row_i = m[i]
-            mic = row_i[col]
-            for j in range(col + 1, ncols):
-                row_i[j] = (row_i[j] * pivot - mic * row_r[j]) // prev
-        prev = pivot
-        r += 1
-    return r, sign * prev
+    for pos, d, rest in pivots:
+        x = row.pop(pos)
+        # in place: a comprehension costs more than the loop at these widths
+        if x:
+            for j, b in enumerate(rest):
+                row[j] = (row[j] * d - x * b) // prev
+        elif d != prev:
+            for j, a in enumerate(row):
+                row[j] = a * d // prev
+        prev = d
+    for pos, x in enumerate(row):
+        if x:
+            del row[pos]
+            pivots.append((pos, x, row))
+            return True
+    return False
 
 
 def det(rows) -> int:
@@ -58,18 +55,18 @@ def det(rows) -> int:
     for row in rows:
         if len(row) != n:
             raise ValueError(f"matrix is not square: {n} rows, row of length {len(row)}")
-    # a copy, as _eliminate works in place; operator.index refuses a
-    # non-integer entry, on which Bareiss's exact divisions go wrong
-    r, minor = _eliminate([list(map(operator.index, row)) for row in rows], n)
-    return minor if r == n else 0
-
-
-def rank(rows) -> int:
-    """Exact rank of a (possibly rectangular) integer matrix of rows."""
-    if not rows:
-        return 0
-    m = [list(map(operator.index, row)) for row in rows]
-    return _eliminate(m, len(m[0]))[0]
+    # the last pivot is the minor on the pivot columns in the order they
+    # were taken; the places of the pivots among the columns left are the
+    # Lehmer code of that order, so their sum has its parity
+    pivots = []
+    minor, places = 1, 0
+    for row in rows:
+        # operator.index refuses a non-integer entry
+        if not _push(pivots, map(operator.index, row)):
+            return 0
+        pos, minor, _ = pivots[-1]
+        places += pos
+    return -minor if places % 2 else minor
 
 
 def mat_vec(a, v):

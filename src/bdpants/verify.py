@@ -64,8 +64,8 @@ CHECK_NAMES = (
 
 
 # the largest max_n accepted: verify runs the generic path and the flag
-# checks at every rank up to it, about 26 s at 12 and 25 samples (2-core
-# machine, Python 3.11.7)
+# checks at every rank up to it; at 12, about 19 s for 25 exact samples
+# and 15 s per float sample (2-core machine, Python 3.11.7)
 VERIFY_MAX_N = 12
 
 
@@ -172,6 +172,9 @@ def run_verification(config: VerifyConfig) -> dict:
         _check_in_domain(results["domain_inequalities"], params, ctx)
         _check_group_relation(results["group_relation"], rep, ctx)
         _check_fixed_points(results["fixed_point_formulas"], params, rep, ctx)
+        # every consecutive eigenvalue ratio of the symmetric power of an
+        # element with leading eigenvalue lam is lam^2, at every rank
+        ratios = {b: eigenvalues(boundary_matrix(rep, b))[0] ** 2 for b in BOUNDARIES}
 
         for n in ns:
             nctx = f"n={n} params={ctx}"
@@ -188,7 +191,7 @@ def run_verification(config: VerifyConfig) -> dict:
             _check_rotation(results["triangle_rotation"], params, n, curve, generic, nctx)
             _check_constancy(results["triangle_constancy"], generic, nctx)
             _check_oracle(results["oracle_equivalence"], generic, closed, nctx)
-            _check_lengths(results["length_identity"], generic, rep, n, nctx)
+            _check_lengths(results["length_identity"], generic, ratios, n, nctx)
             _check_positivity(results["positivity"], generic, nctx)
 
     return results
@@ -330,11 +333,9 @@ def _check_oracle(result, generic, closed, ctx):
         )
 
 
-def _check_lengths(result, coords, rep, n, ctx):
+def _check_lengths(result, coords, ratios, n, ctx):
     for boundary in BOUNDARIES:
-        # every consecutive eigenvalue ratio of the symmetric power of an
-        # element with leading eigenvalue lam is lam^2
-        ratio = eigenvalues(boundary_matrix(rep, boundary))[0] ** 2
+        ratio = ratios[boundary]
         for p in range(1, n):
             lhs = boundary_sum_R(coords, boundary, p)
             result.record(

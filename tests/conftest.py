@@ -1,7 +1,7 @@
 import math
 import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -48,6 +48,29 @@ def leibniz_det(rows):
             term = term * rows[i][perm[i]]
         total = total + term
     return total
+
+
+def compositions(total, parts):
+    """All ways to write total = n_1 + ... + n_parts with n_i >= 0."""
+    for bars in combinations(range(total + parts - 1), parts - 1):
+        prev = -1
+        comp = []
+        for b in bars:
+            comp.append(b - prev - 1)
+            prev = b
+        comp.append(total + parts - 2 - prev)
+        yield comp
+
+
+def brute_is_generic(flags):
+    """Genericity by one Leibniz determinant per composition of n: the
+    independent oracle for the prefix walk of `is_generic`."""
+    n = flags[0].dim
+    for comp in compositions(n, len(flags)):
+        rows = [v for f, ni in zip(flags, comp) for v in f.prefix(ni)]
+        if leibniz_det(rows) == 0:
+            return False
+    return True
 
 
 def mat_mul(a, b):

@@ -361,6 +361,29 @@ def test_coords_lengths_with_alpha_beta_at_most_one_named(capsys):
     assert "lC = 1e-16" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["coords", "--n", "3", "--lengths", "1_0,1,1"],
+    ["coords", "--n", "3", "--abc", "1_0,1,1/2"],
+    ["sweep", "--n", "3", "--grid", "lA:1_0:1_0:1,lB:1:1:1,lC:1:1:1"],
+    ["sweep", "--n", "3", "--grid", "lA:1:2:1_0,lB:1:1:1,lC:1:1:1"],
+])
+def test_digit_separators_are_refused(capsys, argv):
+    # float(), int() and Fraction() read 1_0 as 10
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2 and out == ""
+    assert "1_0" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["coords", "--n", "3", "--lengths", "1e400,1,1"],
+    ["sweep", "--n", "3", "--grid", "lA:1:1e400:2,lB:1:1:1,lC:1:1:1"],
+])
+def test_overflowing_float_is_named_by_its_text(capsys, argv):
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2 and out == ""
+    assert err == "error: float scalar '1e400' overflows\n"
+
+
 def test_calls_leave_no_garbage_cycles(capsys):
     gc.collect()
     gc.disable()

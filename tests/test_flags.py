@@ -18,7 +18,7 @@ from bdpants.flags import (
 from bdpants.pants import ProjPoint
 from bdpants.veronese import flag_curve
 
-from conftest import leibniz_det
+from conftest import brute_is_generic, leibniz_det
 
 F = Fraction
 
@@ -91,8 +91,6 @@ def test_kernel_refuses_non_integer_entries():
     for rows in ([[F(1, 2), 1], [1, 3]], [[1, 2], [3, F(4)]], [[1.0, 2], [3, 4]]):
         with pytest.raises(TypeError):
             linalg.det(rows)
-        with pytest.raises(TypeError):
-            linalg.rank(rows)
 
 
 def test_flag_clears_denominators_per_vector(rng):
@@ -158,29 +156,67 @@ def _triangular(rng, n):
              for j in range(n)] for i in range(n)]
 
 
+def _kept(rows):
+    """The number of rows the elimination step keeps as pivots."""
+    pivots = []
+    for row in rows:
+        linalg._push(pivots, row)
+    return len(pivots)
+
+
+def _remixed(rng, flag):
+    """The same flag in another basis: row i mixes the first i + 1
+    basis vectors."""
+    return Flag([[sum(c * x for c, x in zip(coeffs, col)) for col in zip(*flag.basis)]
+                 for coeffs in _triangular(rng, flag.dim)])
+
+
 def test_rank_of_stacked_flag_prefixes(rng):
-    # the 2i-by-n matrices flags_equal builds, for equal and unequal flags
+    # the 2i-by-n matrices of flags_equal, for equal and unequal flags
     for _ in range(10):
         n = rng.randint(2, 4)
         f = _random_flag(rng, n)
-        same = Flag([[sum(c * x for c, x in zip(coeffs, col)) for col in zip(*f.basis)]
-                     for coeffs in _triangular(rng, n)])
+        same = _remixed(rng, f)
         for g in (f, same, _random_flag(rng, n)):
             for i in range(1, n):
                 rows = list(f.prefix(i)) + list(g.prefix(i))
-                assert linalg.rank(rows) == _rank_by_minors(rows)
-        assert all(linalg.rank(list(f.prefix(i)) + list(same.prefix(i))) == i
+                assert _kept(rows) == _rank_by_minors(rows)
+        assert all(_kept(list(f.prefix(i)) + list(same.prefix(i))) == i
                    for i in range(1, n))
+
+
+def _sharing(rng, flag, j):
+    """A flag whose first j subspaces are those of the given flag and
+    whose other basis vectors are random."""
+    n = flag.dim
+    while True:
+        rows = list(_remixed(rng, flag).basis[:j]) + [
+            [rng.randint(-3, 3) for _ in range(n)] for _ in range(n - j)]
+        try:
+            return Flag(rows)
+        except ValueError:
+            continue
+
+
+def test_flags_equal_against_minors(rng):
+    # equal, triangularly remixed, partly shared and random flags
+    for _ in range(25):
+        n = rng.randint(1, 4)
+        f = _random_flag(rng, n)
+        for g in (f, _remixed(rng, f), _sharing(rng, f, rng.randrange(n)), _random_flag(rng, n)):
+            expected = all(_rank_by_minors(list(f.prefix(i)) + list(g.prefix(i))) == i
+                           for i in range(1, n))
+            assert flags_equal(f, g) == flags_equal(g, f) == expected
 
 
 def test_rank_skips_zero_columns_and_empty():
     # column 0 has no pivot; the elimination must move on to column 1
     rows = [[0, 1, 2, 3], [0, 2, 4, 7], [0, 3, 6, 10]]
-    assert linalg.rank(rows) == _rank_by_minors(rows) == 2
+    assert _kept(rows) == _rank_by_minors(rows) == 2
     rows = [[0, 1, 2], [0, 2, 4], [0, 0, 3]]
-    assert linalg.rank(rows) == _rank_by_minors(rows) == 2
-    assert linalg.rank([[0, 0], [0, 0]]) == 0
-    assert linalg.rank([]) == 0
+    assert _kept(rows) == _rank_by_minors(rows) == 2
+    assert _kept([[0, 0], [0, 0]]) == 0
+    assert _kept([]) == 0
 
 
 def test_rank_against_minors(rng):
@@ -199,7 +235,26 @@ def test_rank_against_minors(rng):
             right = [[rng.randint(-2, 2) for _ in range(ncols)] for _ in range(k)]
             rows = [[sum(row[i] * right[i][j] for i in range(k)) for j in range(ncols)]
                     for row in left]
-            assert linalg.rank(rows) == _rank_by_minors(rows)
+            assert _kept(rows) == _rank_by_minors(rows)
+
+
+def test_determinant_of_dependent_and_unit_rows(rng):
+    # unit rows take pivot columns out of order, so the sign is the
+    # parity of the pivot columns; a dependent row makes it vanish
+    for _ in range(40):
+        n = rng.randint(2, 5)
+        bits = rng.choice((3, 64))
+        rows = [[rng.randint(-2 ** bits, 2 ** bits) for _ in range(n)] for _ in range(n)]
+        for i in rng.sample(range(n), rng.randint(1, n - 1)):
+            t = rng.randrange(n)
+            rows[i] = [int(j == t) for j in range(n)]
+        rng.shuffle(rows)
+        assert linalg.det(rows) == leibniz_det(rows)
+        i = rng.randrange(n)
+        others = rows[:i] + rows[i + 1:]
+        a, b, c = rng.choice(others), rng.choice(others), rng.randint(-3, 3)
+        rows[i] = [c * x + y for x, y in zip(a, b)]
+        assert linalg.det(rows) == leibniz_det(rows) == 0
 
 
 def test_flag_requires_independent_basis():
@@ -215,6 +270,37 @@ def test_single_full_rank_flag_is_generic():
 def test_repeated_flag_not_generic():
     flag = Flag([(F(1), F(0)), (F(0), F(1))])
     assert not is_generic([flag, flag])
+
+
+def _planted(rng, n, k):
+    """k random flags, some of which share leading subspaces with an
+    earlier one, so that a walk meets its first dependent choice below
+    the first flag."""
+    bits = rng.choice((2, 64))
+    flags = []
+    while len(flags) < k:
+        if flags and rng.random() < 0.4:
+            flags.append(_sharing(rng, rng.choice(flags), rng.randint(1, n)))
+            continue
+        rows = [[rng.randint(-2 ** bits, 2 ** bits) for _ in range(n)] for _ in range(n)]
+        try:
+            flags.append(Flag(rows))
+        except ValueError:
+            continue
+    return flags
+
+
+def test_is_generic_against_compositions(rng):
+    # every composition against a Leibniz determinant: k = 1..4 flags,
+    # n <= 5, small and 64-bit entries, some repeated subspaces
+    verdicts = set()
+    for _ in range(120):
+        n, k = rng.randint(1, 5), rng.randint(1, 4)
+        flags = _planted(rng, n, k)
+        verdict = brute_is_generic(flags)
+        assert is_generic(flags) == verdict
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
 
 
 def test_curve_triple_is_generic():

@@ -83,24 +83,24 @@ def test_random_params_stay_in_domain(rng):
 
 
 def test_kernel_sees_only_integer_matrices(monkeypatch):
-    # every matrix the generic path and the verify sweep hand to det and
-    # rank is all-int: denominators are cleared where a flag is built
+    # every row that det, is_generic and flags_equal push into the
+    # elimination, for the generic path and the verify sweep, is all-int:
+    # denominators are cleared where a flag is built
     seen = []
+    push = linalg._push
 
-    def recording(fn):
-        def wrapper(rows):
-            seen.append([list(row) for row in rows])
-            return fn(rows)
-        return wrapper
+    def recording(pivots, row):
+        row = list(row)
+        seen.append(row)
+        return push(pivots, row)
 
-    monkeypatch.setattr(linalg, "det", recording(linalg.det))
-    monkeypatch.setattr(linalg, "rank", recording(linalg.rank))
+    monkeypatch.setattr(linalg, "_push", recording)
     for exact in (True, False):
         run_verification(VerifyConfig(samples=2, seed=3, max_n=5, exact=exact))
     for n in range(2, 8):
         assemble_phi(n, PantsParams(Fraction(5, 2), 2, Fraction(1, 3)), "generic")
     assert len(seen) > 1000
-    assert all(type(x) is int for rows in seen for row in rows for x in row)
+    assert all(type(x) is int for row in seen for x in row)
 
 
 def test_equivariance_moves_flags_by_integer_matrices(monkeypatch):
