@@ -89,8 +89,10 @@ class CoordinateVector(namedtuple("CoordinateVector", "n sigma tau")):
                 yield f"tau_{tri}_p{p}q{q}r{r}", entries[(p, q, r)]
 
 
-def assemble_phi(n: int, params: PantsParams, method: str = "closed_form") -> CoordinateVector:
-    """Compute all n^2 - 1 coordinates by the chosen path."""
+def assemble_phi(n: int, params: PantsParams, method: str = "closed_form", *,
+                 curve=None) -> CoordinateVector:
+    """Compute all n^2 - 1 coordinates by the chosen path; the generic
+    path takes flags from curve(point), by default flag_curve at rank n."""
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     if n > MAX_N:
@@ -101,7 +103,8 @@ def assemble_phi(n: int, params: PantsParams, method: str = "closed_form") -> Co
     tau = {}
     if method == "generic":
         # a boundary point is a vertex of several leaves and triangles
-        curve = cache(partial(flag_curve, n=n))
+        if curve is None:
+            curve = cache(partial(flag_curve, n=n))
         for leaf in LEAVES:
             flags = [curve(x) for x in leaf_quadruple(params, leaf)]
             sigma[leaf] = tuple(double_ratios_exp(*flags, range(1, n)))

@@ -5,8 +5,8 @@ basis (v_1, ..., v_n): the i-dimensional piece is the span of the first
 i vectors.  Coordinates are taken against the fixed monomial basis
 b_1 = X^{n-1}, b_2 = X^{n-2}Y, ..., b_n = Y^{n-1}, and the top wedge
 b_1 ^ ... ^ b_n is identified with 1, so a wedge of n vectors is just
-the determinant of their coordinate matrix, `linalg.det` of the vectors
-as rows (a matrix and its transpose have the same determinant).  A
+the determinant of their coordinate matrix, taken with the vectors as
+rows (a matrix and its transpose have the same determinant).  A
 `Flag` clears each basis vector's denominators once, when it is built,
 so every wedge is a determinant of integers.
 
@@ -19,7 +19,10 @@ independently computed values can be compared exactly.
 
 Each ratio formula is written once, over factor functions: X(a, b, c)
 for the triple ratio, Y(i) and Y'(i) for the double ratio.  The
-`*_ratios_exp` functions pass wedge determinants of flag prefixes.
+`*_ratios_exp` functions read wedges of flag prefixes from one table
+per flag triple, which `_wedges` fills in one walk of the prefixes with
+one pivot list, signing each wedge as `linalg.det` does; a prefix that
+several wedges share is reduced once.  Y(i) is X(i, n - i - 1, 1).
 The tests pass reference factors (MacMahon's plane-partition count, one
 monomial per shearing factor) to the same formulas, which proves the
 closed form of `bdpants.coords`; that closed form uses none of them.
@@ -38,7 +41,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cache, partial
+from functools import cache
 
 from . import linalg
 
@@ -129,10 +132,37 @@ def is_generic(flags) -> bool:
     return _spans(flags, 0, n, [])
 
 
-def _x_factor(e: Flag, f: Flag, g: Flag, a: int, b: int, c: int) -> int:
-    """Wedge of the a-, b- and c-prefixes of three flags (a + b + c = n).
-    A zero index contributes no vectors."""
-    return linalg.det(e.prefix(a) + f.prefix(b) + g.prefix(c))
+def _wedges(e: Flag, f: Flag, g: Flag, most: int) -> dict:
+    """X(a, b, c) for every a + b + c = n with c <= most: the wedge of
+    the a-, b- and c-prefixes of the three flags.  A choice whose
+    vectors are dependent is left out; its wedge is 0."""
+    n = e.dim
+    table = {}
+    pivots = []
+    # running sums of the pivot places: their parity signs a wedge
+    sum_a = 0
+    for a in range(n + 1):
+        top_a, sum_b = len(pivots), sum_a
+        for b in range(n - a + 1):
+            c = n - a - b
+            if c <= most:
+                top_b, sum_c = len(pivots), sum_b
+                for v in g.basis[:c]:
+                    if not linalg._push(pivots, v):
+                        break
+                    sum_c += pivots[-1][0]
+                else:
+                    minor = pivots[-1][1]
+                    table[(a, b, c)] = -minor if sum_c % 2 else minor
+                del pivots[top_b:]
+            if c == 0 or not linalg._push(pivots, f.basis[b]):
+                break
+            sum_b += pivots[-1][0]
+        del pivots[top_a:]
+        if a == n or not linalg._push(pivots, e.basis[a]):
+            break
+        sum_a += pivots[-1][0]
+    return table
 
 
 def _triple_ratios(x, n: int, triples) -> dict:
@@ -184,7 +214,8 @@ def _double_ratios(y, yprime, n: int, ps) -> list:
 def triple_ratios_exp(e: Flag, f: Flag, g: Flag, triples) -> dict:
     """Triple ratios of a generic flag triple for many (p,q,r) at once:
     X(a,b,c) wedges the a-, b- and c-prefixes of the three flags."""
-    return _triple_ratios(partial(_x_factor, e, f, g), e.dim, triples)
+    x = _wedges(e, f, g, e.dim)
+    return _triple_ratios(lambda *abc: x.get(abc, 0), e.dim, triples)
 
 
 def double_ratios_exp(e: Flag, f: Flag, g: Flag, g2: Flag, ps) -> list:
@@ -193,5 +224,6 @@ def double_ratios_exp(e: Flag, f: Flag, g: Flag, g2: Flag, ps) -> list:
     the second and the line of the third, and Y'(i) the same with the
     fourth flag's line."""
     n = e.dim
-    return _double_ratios(lambda i: _x_factor(e, f, g, i, n - i - 1, 1),
-                          lambda i: _x_factor(e, f, g2, i, n - i - 1, 1), n, ps)
+    y, y2 = _wedges(e, f, g, 1), _wedges(e, f, g2, 1)
+    return _double_ratios(lambda i: y.get((i, n - i - 1, 1), 0),
+                          lambda i: y2.get((i, n - i - 1, 1), 0), n, ps)

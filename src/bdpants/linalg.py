@@ -10,9 +10,12 @@ fraction-free Bareiss steps of the pivot rows taken before it; every
 entry it makes is a minor of the stacked rows (Sylvester's identity),
 so each division is exact.  `det` pushes every row, and
 `bdpants.flags` grows and truncates one pivot list along flag prefixes.
-`det` refuses a non-integer entry of every row it reduces with
-TypeError, as the exact divisions would silently go wrong on it; it
-stops at the first dependent row, whose determinant is 0.
+A unit pivot, a row that is zero past its pivot entry (as a unit
+vector of the flag at infinity or 0 often is), only rescales a later
+row, which is no work when its entry equals the pivot before it.  `det`
+refuses a non-integer entry of every row it reduces with TypeError, as
+the exact divisions would silently go wrong on it; it stops at the
+first dependent row, whose determinant is 0.
 """
 
 from __future__ import annotations
@@ -26,15 +29,16 @@ def _push(pivots: list, row) -> bool:
 
     A pivot is (pos, d, rest): its row on the columns no earlier pivot
     took, split into its first nonzero entry d, the place pos of d, and
-    the rest.  After k steps entry j of the row is the minor of the first
-    k pivot rows and itself on the first k pivot columns and column j.
+    the rest (None if all zero).  After k steps entry j of the row is the
+    minor of the first k pivot rows and itself on the first k pivot
+    columns and column j.
     """
     row = list(row)
     prev = 1
     for pos, d, rest in pivots:
         x = row.pop(pos)
         # in place: a comprehension costs more than the loop at these widths
-        if x:
+        if x and rest:
             for j, b in enumerate(rest):
                 row[j] = (row[j] * d - x * b) // prev
         elif d != prev:
@@ -44,7 +48,7 @@ def _push(pivots: list, row) -> bool:
     for pos, x in enumerate(row):
         if x:
             del row[pos]
-            pivots.append((pos, x, row))
+            pivots.append((pos, x, row if any(row) else None))
             return True
     return False
 

@@ -64,8 +64,8 @@ CHECK_NAMES = (
 
 
 # the largest max_n accepted: verify runs the generic path and the flag
-# checks at every rank up to it; at 12, about 19 s for 25 exact samples
-# and 15 s per float sample (2-core machine, Python 3.11.7)
+# checks at every rank up to it; at 12, about 7 s for 25 exact samples
+# and 9 s per float sample (2-core machine, Python 3.11.7)
 VERIFY_MAX_N = 12
 
 
@@ -171,22 +171,23 @@ def run_verification(config: VerifyConfig) -> dict:
 
         _check_in_domain(results["domain_inequalities"], params, ctx)
         _check_group_relation(results["group_relation"], rep, ctx)
-        _check_fixed_points(results["fixed_point_formulas"], params, rep, ctx)
+        fixed = [fixed_points(m) for m in rep]
+        _check_fixed_points(results["fixed_point_formulas"], params, fixed, ctx)
         # every consecutive eigenvalue ratio of the symmetric power of an
         # element with leading eigenvalue lam is lam^2, at every rank
         ratios = {b: eigenvalues(boundary_matrix(rep, b))[0] ** 2 for b in BOUNDARIES}
 
         for n in ns:
             nctx = f"n={n} params={ctx}"
-            # each boundary point's flag is built once per sample and rank;
-            # no check compares two flags of the same point
+            # each boundary point's flag is built once per sample and rank,
+            # for the generic path too; no check compares two of them
             curve = cache(partial(flag_curve, n=n))
             _check_equivariance(results["equivariance"], rep, n, curve, rng, nctx)
-            _check_stable_flag(results["stable_flag"], rep, n, curve, nctx)
+            _check_stable_flag(results["stable_flag"], fixed, n, curve, nctx)
             _check_genericity(results["genericity"], params, curve, nctx)
             _check_triple_symmetry(results["triple_ratio_symmetry"], rng, n, nctx)
 
-            generic = assemble_phi(n, params, "generic")
+            generic = assemble_phi(n, params, "generic", curve=curve)
             closed = assemble_phi(n, params, "closed_form")
             _check_rotation(results["triangle_rotation"], params, n, curve, generic, nctx)
             _check_constancy(results["triangle_constancy"], generic, nctx)
@@ -216,11 +217,9 @@ def _check_group_relation(result, rep, ctx):
     result.record(ok, f"params={ctx}: a*b*c = {prod}")
 
 
-def _check_fixed_points(result, params, rep, ctx):
+def _check_fixed_points(result, params, fixed, ctx):
     al, be, ga = params.alpha, params.beta, params.gamma
-    att_a, rep_a = fixed_points(rep.a)
-    att_b, rep_b = fixed_points(rep.b)
-    att_c, rep_c = fixed_points(rep.c)
+    (att_a, rep_a), (att_b, rep_b), (att_c, rep_c) = fixed
     formula_a = ProjPoint(al * al * be * ga + 1, 1 - al * al)
     formula_b = ProjPoint(ga - 1 / ga, -1 / be - 1 / ga)
     formula_c = ProjPoint(al * be + 1 / (al * ga), 1 / (al * ga) + 1 / (al * be))
@@ -262,10 +261,9 @@ def _check_equivariance(result, rep, n, curve, rng, ctx):
                 return
 
 
-def _check_stable_flag(result, rep, n, curve, ctx):
-    for name, mat in (("a", rep.a), ("b", rep.b), ("c", rep.c)):
-        att, _ = fixed_points(mat)
-        ok = flags_equal(curve(att), stable_flag(mat, n))
+def _check_stable_flag(result, fixed, n, curve, ctx):
+    for name, (att, rep) in zip("abc", fixed):
+        ok = flags_equal(curve(att), stable_flag(att, rep, n))
         result.record(ok, f"{ctx} generator {name}: stable flag mismatch")
 
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 
 from .flags import Flag
-from .pants import ProjPoint, SL2Mat, fixed_points
+from .pants import ProjPoint, SL2Mat
 
 
 def _lin_power(s, t, m: int):
@@ -77,15 +77,15 @@ def flag_curve(x: ProjPoint, n: int) -> Flag:
     return Flag(basis)
 
 
-def stable_flag(m: SL2Mat, n: int) -> Flag:
-    """Eigenbasis flag of the symmetric power of a hyperbolic element,
-    ordered by decreasing eigenvalue modulus.
+def stable_flag(att: ProjPoint, rep: ProjPoint, n: int) -> Flag:
+    """Eigenbasis flag of the symmetric power of a hyperbolic element
+    whose fixed points are (att, rep), as `pants.fixed_points` gives
+    them, ordered by decreasing eigenvalue modulus.
 
     With attracting/repelling eigendirections (u+, v+) and (u-, v-), the
     i-th vector is (u+ X + v+ Y)^{n-i} (u- X + v- Y)^{i-1}, whose
     eigenvalue has the (n+1-2i)-th power of the leading one.
     """
-    att, rep = fixed_points(m)
     basis = [
         _poly_mul(_lin_power(att.u, att.v, n - i), _lin_power(rep.u, rep.v, i - 1))
         for i in range(1, n + 1)

@@ -229,9 +229,9 @@ def test_criterion_6_structural_relations():
                         flag_curve(mobius_apply(mat, x), n),
                     ):
                         failures.append(("equivariance", n, params))
-                att, _ = fixed_points(mat)
+                att, rep_point = fixed_points(mat)
                 checked += 1
-                if not flags_equal(flag_curve(att, n), stable_flag(mat, n)):
+                if not flags_equal(flag_curve(att, n), stable_flag(att, rep_point, n)):
                     failures.append(("stable_flag", n, params))
     _report(
         6,

@@ -229,15 +229,17 @@ def test_shearing_factors_match_bordered_determinants():
 
 
 def test_closed_form_takes_no_determinants(monkeypatch, sample_params):
-    def no_det(rows):
-        raise AssertionError("a determinant was taken")
+    # every determinant, wedge and flag check runs through the one
+    # elimination step, so the closed form must take none of it
+    def no_step(pivots, row):
+        raise AssertionError("an elimination step was taken")
 
-    monkeypatch.setattr(linalg, "det", no_det)
+    monkeypatch.setattr(linalg, "_push", no_step)
     for params in _sample_triples():
         for n in range(2, 11):
             assemble_phi(n, params, "closed_form")
-    # the patch is live: the generic path does take determinants
-    with pytest.raises(AssertionError, match="a determinant was taken"):
+    # the patch is live: the generic path does take elimination steps
+    with pytest.raises(AssertionError, match="an elimination step was taken"):
         assemble_phi(2, sample_params, "generic")
 
 

@@ -4,7 +4,7 @@ from itertools import combinations
 
 import pytest
 
-from bdpants import linalg
+from bdpants import flags, linalg
 from bdpants.coords import tau_index_tuples
 from bdpants.flags import (
     DegenerateFlagsError,
@@ -255,6 +255,51 @@ def test_determinant_of_dependent_and_unit_rows(rng):
         a, b, c = rng.choice(others), rng.choice(others), rng.randint(-3, 3)
         rows[i] = [c * x + y for x, y in zip(a, b)]
         assert linalg.det(rows) == leibniz_det(rows) == 0
+    # scaled unit rows before, between and after dense rows: a unit pivot
+    # only rescales the rows after it, also where its entry differs from
+    # the pivot before it
+    for _ in range(40):
+        kinds = ["unit", "dense", "unit", "dense", "unit"]
+        if rng.random() < 0.5:
+            kinds.insert(rng.randint(1, 4), rng.choice(("unit", "dense")))
+        n, bits = len(kinds), rng.choice((3, 64))
+        rows = [[rng.choice((-3, -2, -1, 1, 2, 3)) * (j == t) for j in range(n)]
+                if kind == "unit" else [rng.randint(-2 ** bits, 2 ** bits) for j in range(n)]
+                for kind, t in zip(kinds, rng.sample(range(n), n))]
+        assert linalg.det(rows) == leibniz_det(rows)
+
+
+def _check_wedge_table(e, f, g):
+    """The prefix walk's wedges against a Leibniz determinant of the
+    stacked prefixes, for every (a, b, c) and for c <= 1; a wedge left
+    out of the table must vanish."""
+    n = e.dim
+    expected = {(a, b, n - a - b): _wedge(e.prefix(a), f.prefix(b), g.prefix(n - a - b))
+                for a in range(n + 1) for b in range(n - a + 1)}
+    for most in (n, 1):
+        table = flags._wedges(e, f, g, most)
+        wanted = {abc: x for abc, x in expected.items() if abc[2] <= most}
+        assert set(table) <= set(wanted)
+        assert {abc: table.get(abc, 0) for abc in wanted} == wanted
+    return expected
+
+
+def test_wedge_table_against_leibniz(rng):
+    # seeded random triples with 2- and 64-bit entries, some of them
+    # sharing leading subspaces
+    for _ in range(12):
+        _check_wedge_table(*_planted(rng, rng.randint(1, 6), 3))
+    # curve triples through infinity and 0, whose flags are unit ladders
+    for n in (2, 3, 4, 5):
+        points = [ProjPoint.infinity(), ProjPoint.of(F(0)),
+                  ProjPoint(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 4))]
+        rng.shuffle(points)
+        _check_wedge_table(*(flag_curve(x, n) for x in points))
+    # a repeated flag: the dependent choices are left out and read as 0
+    for n in (2, 3, 4):
+        e, f = _random_flag(rng, n), _random_flag(rng, n)
+        for triple in ((e, e, f), (e, f, e), (e, f, f)):
+            assert 0 in _check_wedge_table(*triple).values()
 
 
 def test_flag_requires_independent_basis():

@@ -6,7 +6,9 @@ from fractions import Fraction
 import pytest
 
 from bdpants import TRIANGLES, PantsParams, flags, linalg, verify
+from bdpants import coords as coords_mod
 from bdpants.coords import assemble_phi
+from bdpants.pants import fixed_points
 from bdpants.veronese import flag_curve, sym_power
 from bdpants.verify import (
     CHECK_NAMES,
@@ -132,7 +134,9 @@ def test_planted_sym_power_fault_fails_equivariance(monkeypatch, capsys):
 
 
 def test_flag_curve_built_once_per_point_and_rank(monkeypatch):
-    # one entry per flag_curve call, and None where a sample starts
+    # one entry per flag_curve call, "fixed" per fixed_points call, and
+    # None where a sample starts; the generic path takes verify's flags
+    # and builds none of its own
     calls = []
 
     def recording(x, n):
@@ -143,8 +147,17 @@ def test_flag_curve_built_once_per_point_and_rank(monkeypatch):
         calls.append(None)
         return random_params(rng, exact)
 
+    def counting(m):
+        calls.append("fixed")
+        return fixed_points(m)
+
+    def refused(x, n):
+        raise AssertionError("the generic path built a flag of its own")
+
     monkeypatch.setattr(verify, "flag_curve", recording)
     monkeypatch.setattr(verify, "random_params", marking)
+    monkeypatch.setattr(verify, "fixed_points", counting)
+    monkeypatch.setattr(coords_mod, "flag_curve", refused)
     for exact in (True, False):
         assert all_passed(run_verification(VerifyConfig(samples=2, seed=5, max_n=4, exact=exact)))
     samples = []
@@ -155,7 +168,10 @@ def test_flag_curve_built_once_per_point_and_rank(monkeypatch):
             samples[-1].append(call)
     assert len(samples) == 4
     for sample in samples:
-        assert sample and len(sample) == len(set(sample))
+        # fixed points once per generator and sample, at every max_n
+        assert sample.count("fixed") == 3
+        built = [call for call in sample if call != "fixed"]
+        assert built and len(built) == len(set(built))
 
 
 def test_out_of_domain_sample_is_refused(monkeypatch, capsys):
@@ -172,8 +188,8 @@ def test_out_of_domain_sample_is_refused(monkeypatch, capsys):
 def test_planted_tau_fault_fails_rotation_and_oracle(monkeypatch, capsys):
     # triangle_rotation reads the generic triple ratios, so a wrong one
     # fails it along with the closed-form comparison
-    def planted(n, params, method="closed_form"):
-        coords = assemble_phi(n, params, method)
+    def planted(n, params, method="closed_form", **kwargs):
+        coords = assemble_phi(n, params, method, **kwargs)
         if method == "generic" and n >= 3:
             for tri in TRIANGLES:
                 coords.tau[tri][(1, 1, n - 2)] *= 2

@@ -126,8 +126,8 @@ def test_stable_flag_matches_curve(rng):
     rep = build_rep(params)
     for n in (2, 3, 4, 5):
         for mat in (rep.a, rep.b, rep.c):
-            att, _ = fixed_points(mat)
-            assert flags_equal(flag_curve(att, n), stable_flag(mat, n))
+            att, rep_point = fixed_points(mat)
+            assert flags_equal(flag_curve(att, n), stable_flag(att, rep_point, n))
 
 
 def test_stable_flag_is_eigenbasis(sample_params):
@@ -136,7 +136,7 @@ def test_stable_flag_is_eigenbasis(sample_params):
     for n in (2, 3, 4):
         for mat in (rep.a, rep.b, rep.c):
             power = sym_power(mat, n)
-            flag = stable_flag(mat, n)
+            flag = stable_flag(*fixed_points(mat), n)
             eigs = sym_eigenvalues(mat, n)
             lift_sign = 1 if mat.trace() > 0 else -1
             for i, vector in enumerate(flag.basis):
